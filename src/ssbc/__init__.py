@@ -43,17 +43,14 @@ from .mc import (
     SimConfig,
     SimReport,
     run_simulation,
-    split_conformal_threshold,
     theory_overlay,
 )
 from .mondrian import (
     DegenerateRungError,
-    JointPredictive,
     MondrianSpec,
     budget_success_prob,
     class_count_predictive,
     error_count_conditional,
-    joint_predictive,
     miscoverage_count,
     ssbc_mondrian,
 )
@@ -80,7 +77,6 @@ __all__ = [
     "DegenerateRungError",
     "FeasibilityReport",
     "GridError",
-    "JointPredictive",
     "METHOD_DKWM",
     "METHOD_SSBC",
     "MethodReport",
@@ -104,14 +100,12 @@ __all__ = [
     "error_count_conditional",
     "feasibility_report",
     "grid_implementable",
-    "joint_predictive",
     "log_beta",
     "miscoverage_count",
     "order_index",
     "reg_inc_beta",
     "rung_table",
     "run_simulation",
-    "split_conformal_threshold",
     "ssbc_adjust",
     "ssbc_mondrian",
     "tail_prob",

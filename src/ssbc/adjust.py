@@ -8,6 +8,7 @@ requested tail guarantee.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .coverage import (
@@ -81,66 +82,88 @@ def highest_grid_index_below(alpha_target: float, n: int) -> int:
     return max(0, min(n, u_max))
 
 
-def ssbc_adjust(ctx: CalibrationContext, regime: CoverageRegime) -> AdjustmentReport:
-    """Largest grid level u/(n+1) below the target whose coverage-law tail
-    meets the 1-delta guarantee.
+def search_grid(
+    tail_fn: Callable[[int], float], u_hi: int, threshold: float
+) -> tuple[int, float] | None:
+    """Largest rung u in 1..u_hi with tail_fn(u) >= threshold, with its tail,
+    or None when no rung passes.
 
-    The tail probability is nonincreasing in u, so the scan walks down from
-    the largest admissible rung and stops at the first success.
+    tail_fn must be nonincreasing in u, so the passing rungs are a prefix
+    1..u*.  Rung u_hi is tried first and rung 1 second; after that, the
+    search bisects between a passing and a failing rung.  That takes at most
+    ceil(log2 u_hi) + 2 evaluations of tail_fn.
     """
-    n = ctx.n
-    threshold = 1.0 - ctx.delta
-    for u in range(highest_grid_index_below(ctx.alpha_target, n), 0, -1):
-        alpha_prime = u / (n + 1)
-        tail = tail_prob(coverage_law(alpha_prime, n, regime), ctx.alpha_target)
+    if u_hi < 1:
+        return None
+    hi_tail = tail_fn(u_hi)
+    if hi_tail >= threshold:
+        return u_hi, hi_tail
+    if u_hi == 1:
+        return None
+    lo_tail = tail_fn(1)
+    if lo_tail < threshold:
+        return None
+    lo, hi = 1, u_hi  # rung lo passes, rung hi fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        tail = tail_fn(mid)
         if tail >= threshold:
-            return AdjustmentReport(
-                feasible=True,
-                method=METHOD_SSBC,
-                context=ctx,
-                regime=regime,
-                alpha_adj=alpha_prime,
-                u_star=u,
-                achieved_tail=tail,
-                achieved_violation=1.0 - tail,
-            )
-    return AdjustmentReport(
-        feasible=False,
-        method=METHOD_SSBC,
-        context=ctx,
-        regime=regime,
-        note="no grid level below alpha_target satisfies the tail constraint",
-    )
+            lo, lo_tail = mid, tail
+        else:
+            hi = mid
+    return lo, lo_tail
 
 
-def _ssbc_full_scan(ctx: CalibrationContext, regime: CoverageRegime) -> AdjustmentReport:
-    """Debug oracle: exhaustive scan over every admissible rung.  Must agree
-    with :func:`ssbc_adjust` exactly; kept separate so tests can prove the
-    early-exit search loses nothing."""
-    n = ctx.n
-    best: tuple[int, float] | None = None
-    for u in range(1, highest_grid_index_below(ctx.alpha_target, n) + 1):
-        tail = tail_prob(coverage_law(u / (n + 1), n, regime), ctx.alpha_target)
-        if tail >= 1.0 - ctx.delta:
-            best = (u, tail)
-    if best is None:
+def grid_report(
+    ctx: CalibrationContext,
+    regime: CoverageRegime,
+    found: tuple[int, float] | None,
+    note: str,
+    skipped_rungs: tuple[int, ...] = (),
+) -> AdjustmentReport:
+    """The SSBC report for a :func:`search_grid` answer; ``note`` explains
+    an infeasible one."""
+    if found is None:
         return AdjustmentReport(
             feasible=False,
             method=METHOD_SSBC,
             context=ctx,
             regime=regime,
-            note="no grid level below alpha_target satisfies the tail constraint",
+            skipped_rungs=skipped_rungs,
+            note=note,
         )
-    u, tail = best
+    u, tail = found
     return AdjustmentReport(
         feasible=True,
         method=METHOD_SSBC,
         context=ctx,
         regime=regime,
-        alpha_adj=u / (n + 1),
+        alpha_adj=u / (ctx.n + 1),
         u_star=u,
         achieved_tail=tail,
         achieved_violation=1.0 - tail,
+        skipped_rungs=skipped_rungs,
+    )
+
+
+def ssbc_adjust(ctx: CalibrationContext, regime: CoverageRegime) -> AdjustmentReport:
+    """Largest grid level u/(n+1) below the target whose coverage-law tail
+    meets the 1-delta guarantee.
+
+    Raising u lowers the order index n+1-u of the threshold, so the
+    coverage law shrinks stochastically and its tail cannot grow.  The
+    rungs that pass are therefore a prefix 1..u*, and :func:`search_grid`
+    finds u* by bisection: the same rung, with the same tail, as a scan of
+    every rung, in O(log n) tail evaluations.
+    """
+    n = ctx.n
+    found = search_grid(
+        lambda u: tail_prob(coverage_law(u / (n + 1), n, regime), ctx.alpha_target),
+        highest_grid_index_below(ctx.alpha_target, n),
+        1.0 - ctx.delta,
+    )
+    return grid_report(
+        ctx, regime, found, "no grid level below alpha_target satisfies the tail constraint"
     )
 
 

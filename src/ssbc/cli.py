@@ -66,7 +66,7 @@ def _scalar(value) -> str:
 
 def _emit(data: dict, fmt: str) -> None:
     if fmt == "human":
-        print("\n".join(line for line in _render_human(data) if line is not None))
+        print("\n".join(_render_human(data)))
     else:
         print(canonical_json(data))
 

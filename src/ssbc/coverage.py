@@ -27,6 +27,25 @@ class GridError(ValueError):
     """Raised when a level is not a grid point u/(n+1) with 1 <= u <= n."""
 
 
+def check_int(name: str, value, lo: int = 1, hi: int | None = None) -> None:
+    """Raise ValueError unless value is an int, not a bool, in [lo, hi]
+    (no upper limit when hi is None)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < lo
+        or (hi is not None and value > hi)
+    ):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def check_unit(name: str, value: float) -> None:
+    """Raise ValueError unless 0 < value < 1."""
+    if not (0.0 < value < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+
+
 def snapped_ceil(value: float, scale: float = 1.0) -> int:
     """ceil(value), except values within snapping distance of an integer
     are taken as that integer (representation noise must not shift the
@@ -56,8 +75,7 @@ class CoverageRegime:
         if self.kind not in (INFINITE_TEST, FINITE_WINDOW):
             raise ValueError(f"unknown regime kind {self.kind!r}")
         if self.kind == FINITE_WINDOW:
-            if not isinstance(self.m, int) or self.m < 1:
-                raise ValueError(f"finite window requires integer m >= 1, got {self.m!r}")
+            check_int("window size m", self.m)
         elif self.m is not None:
             raise ValueError("m is only meaningful for the finite-window regime")
 
@@ -73,9 +91,6 @@ class CoverageRegime:
     def is_window(self) -> bool:
         return self.kind == FINITE_WINDOW
 
-    def describe(self) -> str:
-        return INFINITE_TEST if not self.is_window else f"{FINITE_WINDOW}(m={self.m})"
-
 
 @dataclass(frozen=True)
 class CalibrationContext:
@@ -86,12 +101,9 @@ class CalibrationContext:
     delta: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"calibration size n must be an integer >= 1, got {self.n!r}")
-        if not (0.0 < self.alpha_target < 1.0):
-            raise ValueError(f"alpha_target must lie in (0, 1), got {self.alpha_target!r}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
+        check_int("calibration size n", self.n)
+        check_unit("alpha_target", self.alpha_target)
+        check_unit("delta", self.delta)
 
 
 @dataclass(frozen=True)
@@ -114,18 +126,15 @@ def order_index(alpha: float, n: int) -> int:
 
     k = n+1 signals the degenerate everything-set (threshold = +inf).
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    check_int("n", n)
+    check_unit("alpha", alpha)
     k = snapped_ceil((1.0 - alpha) * (n + 1), scale=n + 1)
     return max(1, min(n + 1, k))
 
 
 def grid_index(alpha_prime: float, n: int) -> int:
     """Recover u from a grid level alpha_prime = u/(n+1), or raise GridError."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    check_int("n", n)
     u = round(alpha_prime * (n + 1))
     if u < 1 or u > n or alpha_prime != u / (n + 1):
         raise GridError(
@@ -148,8 +157,7 @@ def tail_prob(law: CoverageLaw, alpha_target: float) -> float:
     of size m: Pr(X >= ceil((1-alpha_target) m)), X ~ Beta-Binomial(m; a, b);
     equality at the threshold counts as success.
     """
-    if not (0.0 < alpha_target < 1.0):
-        raise ValueError(f"alpha_target must lie in (0, 1), got {alpha_target!r}")
+    check_unit("alpha_target", alpha_target)
     t = 1.0 - alpha_target
     if not law.regime.is_window:
         return beta_survival(t, BetaParams(float(law.a), float(law.b)))

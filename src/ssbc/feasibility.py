@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coverage import CoverageRegime, coverage_law, tail_prob
+from .coverage import CoverageRegime, check_int, check_unit, coverage_law, tail_prob
 from .specfun import BetaBinomialParams, betabinom_pmf_vector
 
 
@@ -82,10 +82,8 @@ class FeasibilityReport:
 
 
 def _validate(n: int, delta: float) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    check_int("n", n)
+    check_unit("delta", delta)
 
 
 def alpha_star_infinite(n: int, delta: float) -> float:
@@ -112,8 +110,7 @@ def alpha_star_laplace(n: int, delta: float, m: int) -> float:
     plus at most one 1/m lattice step, with no 1/sqrt(m) term.
     """
     _validate(n, delta)
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    check_int("m", m)
     root = delta ** (1.0 / n)
     return 1.0 - root + math.sqrt(root * (1.0 - root) / (2.0 * math.pi * m))
 
@@ -127,8 +124,7 @@ def alpha_star_exact_finite(n: int, delta: float, m: int) -> float:
     exact, quantized to the 1/m lattice).
     """
     _validate(n, delta)
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    check_int("m", m)
     pmf = betabinom_pmf_vector(BetaBinomialParams(m, float(n), 1.0))
     threshold = 1.0 - delta
     survival = 0.0
@@ -143,10 +139,8 @@ def alpha_star_exact_finite(n: int, delta: float, m: int) -> float:
 
 def rung_table(n: int, alpha_target: float, regime: CoverageRegime) -> RungTable:
     """Attainable delta at every rung u = 1..n for the given target."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not (0.0 < alpha_target < 1.0):
-        raise ValueError(f"alpha_target must lie in (0, 1), got {alpha_target!r}")
+    check_int("n", n)
+    check_unit("alpha_target", alpha_target)
     rungs = []
     for u in range(1, n + 1):
         alpha_prime = u / (n + 1)

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjust import dkwm_adjust, ssbc_adjust
-from .coverage import CalibrationContext, CoverageRegime, order_index, snapped_ceil
+from .coverage import (
+    CalibrationContext,
+    CoverageRegime,
+    check_int,
+    check_unit,
+    order_index,
+    snapped_ceil,
+)
 from .specfun import BetaBinomialParams, betabinom_pmf_vector
 
 SCORE_MODELS = ("abs_cauchy", "abs_normal", "uniform")
@@ -40,16 +47,11 @@ class SimConfig:
     methods: tuple[str, ...] = ("none", "ssbc")
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
-        if not (0.0 < self.alpha_target < 1.0):
-            raise ValueError(f"alpha_target must lie in (0, 1), got {self.alpha_target!r}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if not isinstance(self.runs, int) or self.runs < 1:
-            raise ValueError(f"runs must be an integer >= 1, got {self.runs!r}")
+        check_int("n", self.n)
+        check_int("m", self.m)
+        check_unit("alpha_target", self.alpha_target)
+        check_unit("delta", self.delta)
+        check_int("runs", self.runs)
         if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.score_model not in SCORE_MODELS:
@@ -123,18 +125,6 @@ class SimReport:
             "seed_echo": self.seed_echo,
             "methods": [r.to_dict() for r in self.methods],
         }
-
-
-def split_conformal_threshold(scores, alpha: float) -> float:
-    """The k-th smallest calibration score with k = ceil((1-alpha)(n+1));
-    +inf when k = n+1 (the everything-set)."""
-    ordered = sorted(float(s) for s in scores)
-    if not ordered:
-        raise ValueError("scores must be non-empty")
-    k = order_index(alpha, len(ordered))
-    if k > len(ordered):
-        return math.inf
-    return ordered[k - 1]
 
 
 def _draw_scores(rng: np.random.Generator, score_model: str, size: int) -> np.ndarray:

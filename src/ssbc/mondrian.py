@@ -6,8 +6,9 @@ prevalence is only estimated from k training points (k_j of class j);
 marginalizing the Binomial count over the Beta(k_j, k-k_j) confidence
 distribution gives a Beta-Binomial predictive for the count.  The per-item
 miscoverage rate is likewise uncertain: s_j observed miscoverages among n_j
-calibration points induce a Beta(s_j, n_j-s_j) law.  The joint predictive
-over (errors, count) prices the probability of staying within the
+calibration points induce a Beta(s_j, n_j-s_j) law, and so a Beta-Binomial
+error count given the class count.  Summing the conditional error law
+against the count law prices the probability of staying within the
 per-window error budget, and the grid search accepts the largest rung whose
 budget success probability meets 1 - delta.
 """
@@ -17,13 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .adjust import METHOD_SSBC, AdjustmentReport, highest_grid_index_below
-from .coverage import CalibrationContext, CoverageRegime, grid_index, order_index, snapped_floor
+from .adjust import AdjustmentReport, grid_report, highest_grid_index_below, search_grid
+from .coverage import (
+    CalibrationContext,
+    CoverageRegime,
+    check_int,
+    check_unit,
+    grid_index,
+    order_index,
+    snapped_floor,
+)
 from .specfun import BetaBinomialParams, betabinom_pmf, betabinom_pmf_vector
-
-_JOINT_MASS_TOL = 1e-9
 
 
 class DegenerateRungError(ValueError):
@@ -47,39 +52,12 @@ class MondrianSpec:
     delta: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"training size k must be an integer >= 1, got {self.k!r}")
-        if not isinstance(self.k_j, int) or not (0 <= self.k_j <= self.k):
-            raise ValueError(f"class count k_j must be an integer in [0, {self.k}], got {self.k_j!r}")
-        if not isinstance(self.n_j, int) or self.n_j < 1:
-            raise ValueError(f"calibration size n_j must be an integer >= 1, got {self.n_j!r}")
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"window size m must be an integer >= 1, got {self.m!r}")
-        if not (0.0 < self.alpha_target < 1.0):
-            raise ValueError(f"alpha_target must lie in (0, 1), got {self.alpha_target!r}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-
-
-@dataclass(frozen=True)
-class JointPredictive:
-    """Joint law over (e, r): probabilities[e, r] = Pr(e_j = e, m_j = r),
-    zero above the diagonal (e > r).  Immutable once built."""
-
-    probabilities: np.ndarray
-    s_j: int
-    prevalence_shape: tuple[float, float]
-    error_shape: tuple[float, float]
-
-    def marginal_count(self) -> np.ndarray:
-        """Marginal law of the class count m_j (sums over e)."""
-        return self.probabilities.sum(axis=0)
-
-    def total_mass(self) -> float:
-        m = self.probabilities.shape[1] - 1
-        return math.fsum(
-            self.probabilities[e, r] for r in range(m + 1) for e in range(r + 1)
-        )
+        check_int("training size k", self.k)
+        check_int("class count k_j", self.k_j, 0, self.k)
+        check_int("calibration size n_j", self.n_j)
+        check_int("window size m", self.m)
+        check_unit("alpha_target", self.alpha_target)
+        check_unit("delta", self.delta)
 
 
 def miscoverage_count(alpha: float, n_j: int) -> int:
@@ -91,25 +69,24 @@ def miscoverage_count(alpha: float, n_j: int) -> int:
     return n_j - order_index(alpha, n_j) + 1
 
 
-def class_count_predictive(spec: MondrianSpec) -> np.ndarray:
+def class_count_predictive(spec: MondrianSpec) -> list[float]:
     """Predictive pmf of the class-j count over r = 0..m.
 
     Beta-Binomial(m; k_j, k-k_j) in the interior; a point mass at 0 or m
     when the training sample is all-other or all-class-j.
     """
-    counts = np.zeros(spec.m + 1)
-    if spec.k_j == 0:
-        counts[0] = 1.0
-    elif spec.k_j == spec.k:
-        counts[spec.m] = 1.0
-    else:
-        params = BetaBinomialParams(spec.m, float(spec.k_j), float(spec.k - spec.k_j))
-        counts[:] = betabinom_pmf_vector(params)
+    if 0 < spec.k_j < spec.k:
+        return betabinom_pmf_vector(
+            BetaBinomialParams(spec.m, float(spec.k_j), float(spec.k - spec.k_j))
+        )
+    counts = [0.0] * (spec.m + 1)
+    counts[0 if spec.k_j == 0 else spec.m] = 1.0
     return counts
 
 
 def error_count_conditional(e: int, r: int, s_j: int, n_j: int) -> float:
-    """Pr(e_j = e | m_j = r) = C(r,e) B(e+s_j, r-e+n_j-s_j) / B(s_j, n_j-s_j)."""
+    """Pr(e_j = e | m_j = r) = C(r,e) B(e+s_j, r-e+n_j-s_j) / B(s_j, n_j-s_j);
+    1 for the empty window r = 0."""
     if s_j <= 0 or s_j >= n_j:
         raise DegenerateRungError(
             f"Beta(s_j, n_j - s_j) undefined for s_j={s_j}, n_j={n_j}"
@@ -119,34 +96,6 @@ def error_count_conditional(e: int, r: int, s_j: int, n_j: int) -> float:
     if r == 0:
         return 1.0
     return betabinom_pmf(e, BetaBinomialParams(r, float(s_j), float(n_j - s_j)))
-
-
-def joint_predictive(spec: MondrianSpec, alpha_for_s: float) -> JointPredictive:
-    """Joint law Pr(e_j = e, m_j = r) with the error-rate law parameterized
-    by the miscoverage count that alpha_for_s induces."""
-    s_j = miscoverage_count(alpha_for_s, spec.n_j)
-    if s_j <= 0 or s_j >= spec.n_j:
-        raise DegenerateRungError(
-            f"alpha={alpha_for_s} gives degenerate s_j={s_j} for n_j={spec.n_j}"
-        )
-    count_pmf = class_count_predictive(spec)
-    probs = np.zeros((spec.m + 1, spec.m + 1))
-    for r in range(spec.m + 1):
-        if count_pmf[r] == 0.0:
-            continue
-        for e in range(r + 1):
-            probs[e, r] = count_pmf[r] * error_count_conditional(e, r, s_j, spec.n_j)
-    probs.flags.writeable = False
-    law = JointPredictive(
-        probabilities=probs,
-        s_j=s_j,
-        prevalence_shape=(float(spec.k_j), float(spec.k - spec.k_j)),
-        error_shape=(float(s_j), float(spec.n_j - s_j)),
-    )
-    mass = law.total_mass()
-    if abs(mass - 1.0) > _JOINT_MASS_TOL:
-        raise RuntimeError(f"joint predictive mass {mass} deviates from 1 beyond tolerance")
-    return law
 
 
 def error_budget(alpha: float, r: int) -> int:
@@ -167,59 +116,40 @@ def budget_success_prob(spec: MondrianSpec, alpha_prime: float) -> float:
     s_j = miscoverage_count(alpha_prime, spec.n_j)
     if s_j != u:
         raise RuntimeError(f"grid rung u={u} produced inconsistent s_j={s_j}")
-    if s_j <= 0 or s_j >= spec.n_j:
-        raise DegenerateRungError(
-            f"rung alpha_prime={alpha_prime} gives degenerate s_j={s_j} for n_j={spec.n_j}"
-        )
     count_pmf = class_count_predictive(spec)
     terms = []
     for r in range(spec.m + 1):
         if count_pmf[r] == 0.0:
             continue
         cap = min(error_budget(spec.alpha_target, r), r)
-        if r == 0:
-            within = 1.0
-        else:
-            params = BetaBinomialParams(r, float(s_j), float(spec.n_j - s_j))
-            within = math.fsum(betabinom_pmf(e, params) for e in range(cap + 1))
+        within = math.fsum(error_count_conditional(e, r, s_j, spec.n_j) for e in range(cap + 1))
         terms.append(count_pmf[r] * within)
     return min(1.0, math.fsum(terms))
 
 
 def ssbc_mondrian(spec: MondrianSpec) -> AdjustmentReport:
     """Largest grid rung below the target whose budget success probability
-    meets 1 - delta; degenerate rungs are skipped and recorded."""
+    meets 1 - delta.
+
+    On the grid s_j = u, so the only degenerate rung is u = n_j; it is
+    skipped and recorded.  The search over the other rungs is the bisection
+    of :func:`ssbc.adjust.search_grid`, which relies on the success
+    probability being nonincreasing in u.
+    """
     n_j = spec.n_j
-    ctx = CalibrationContext(n=n_j, alpha_target=spec.alpha_target, delta=spec.delta)
-    regime = CoverageRegime.window(spec.m)
-    skipped: list[int] = []
-    for u in range(highest_grid_index_below(spec.alpha_target, n_j), 0, -1):
-        alpha_prime = u / (n_j + 1)
-        try:
-            p_good = budget_success_prob(spec, alpha_prime)
-        except DegenerateRungError:
-            skipped.append(u)
-            continue
-        if p_good >= 1.0 - spec.delta:
-            return AdjustmentReport(
-                feasible=True,
-                method=METHOD_SSBC,
-                context=ctx,
-                regime=regime,
-                alpha_adj=alpha_prime,
-                u_star=u,
-                achieved_tail=p_good,
-                achieved_violation=1.0 - p_good,
-                skipped_rungs=tuple(skipped),
-            )
+    highest = highest_grid_index_below(spec.alpha_target, n_j)
+    found = search_grid(
+        lambda u: budget_success_prob(spec, u / (n_j + 1)),
+        min(highest, n_j - 1),
+        1.0 - spec.delta,
+    )
     note = "no grid level below alpha_target meets the budget constraint"
-    if skipped and len(skipped) == highest_grid_index_below(spec.alpha_target, n_j):
+    if highest == n_j == 1:
         note = "every grid level below alpha_target has a degenerate miscoverage law"
-    return AdjustmentReport(
-        feasible=False,
-        method=METHOD_SSBC,
-        context=ctx,
-        regime=regime,
-        skipped_rungs=tuple(skipped),
-        note=note,
+    return grid_report(
+        CalibrationContext(n=n_j, alpha_target=spec.alpha_target, delta=spec.delta),
+        CoverageRegime.window(spec.m),
+        found,
+        note,
+        (n_j,) if highest == n_j else (),
     )

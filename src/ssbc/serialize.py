@@ -20,8 +20,6 @@ def format_float(value: float) -> str:
 def _write(value, out: list[str]) -> None:
     if value is None or value is True or value is False:
         out.append("null" if value is None else ("true" if value else "false"))
-    elif isinstance(value, bool):  # pragma: no cover - handled above
-        out.append("true" if value else "false")
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, float):

@@ -1,15 +1,32 @@
-"""Independent reference computations for the test suite.
+"""Reference computations for the test suite.
 
-Exact rational arithmetic only (``math.comb`` / ``math.factorial`` /
-``Fraction``); nothing here touches the package's log-space evaluation
-paths, so agreement is a genuine two-route check.
+The laws and scans use exact rational arithmetic only (``math.comb`` /
+``math.factorial`` / ``Fraction``); they never touch the package's
+log-space evaluation paths, so agreement is a genuine two-route check.
+The last part holds references that only tests need: an exhaustive rung
+scan to check the bisecting grid search against, and the joint predictive
+law of the class-conditional budget, assembled from the two factors the
+package multiplies.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+
+import numpy as np
+
+from ssbc.mondrian import (
+    DegenerateRungError,
+    MondrianSpec,
+    class_count_predictive,
+    error_count_conditional,
+    miscoverage_count,
+)
+
+_JOINT_MASS_TOL = 1e-9
 
 
 def binom_tail(n: int, p, k: int) -> Fraction:
@@ -108,3 +125,65 @@ def total_variation(counts, pmf) -> float:
     """TV distance between a histogram (counts) and a pmf on the same grid."""
     total = sum(counts)
     return 0.5 * math.fsum(abs(c / total - p) for c, p in zip(counts, pmf))
+
+
+def full_scan(tail_fn, u_hi: int, threshold):
+    """(u, tail) for the largest u in 1..u_hi with tail_fn(u) >= threshold,
+    or None.  Evaluates every rung and assumes nothing about monotonicity:
+    the reference for ``ssbc.adjust.search_grid``."""
+    best = None
+    for u in range(1, u_hi + 1):
+        tail = tail_fn(u)
+        if tail >= threshold:
+            best = (u, tail)
+    return best
+
+
+@dataclass(frozen=True)
+class JointPredictive:
+    """Joint law over (e, r): probabilities[e, r] = Pr(e_j = e, m_j = r),
+    zero above the diagonal (e > r).  Immutable once built."""
+
+    probabilities: np.ndarray
+    s_j: int
+    prevalence_shape: tuple[float, float]
+    error_shape: tuple[float, float]
+
+    def marginal_count(self) -> np.ndarray:
+        """Marginal law of the class count m_j (sums over e)."""
+        return self.probabilities.sum(axis=0)
+
+    def total_mass(self) -> float:
+        m = self.probabilities.shape[1] - 1
+        return math.fsum(
+            self.probabilities[e, r] for r in range(m + 1) for e in range(r + 1)
+        )
+
+
+def joint_predictive(spec: MondrianSpec, alpha_for_s: float) -> JointPredictive:
+    """Joint law Pr(e_j = e, m_j = r) = Pr(m_j = r) Pr(e_j = e | m_j = r),
+    with the error-rate law parameterized by the miscoverage count that
+    alpha_for_s induces.  Raises RuntimeError if its mass is not 1."""
+    s_j = miscoverage_count(alpha_for_s, spec.n_j)
+    if s_j <= 0 or s_j >= spec.n_j:
+        raise DegenerateRungError(
+            f"alpha={alpha_for_s} gives degenerate s_j={s_j} for n_j={spec.n_j}"
+        )
+    count_pmf = class_count_predictive(spec)
+    probs = np.zeros((spec.m + 1, spec.m + 1))
+    for r in range(spec.m + 1):
+        if count_pmf[r] == 0.0:
+            continue
+        for e in range(r + 1):
+            probs[e, r] = count_pmf[r] * error_count_conditional(e, r, s_j, spec.n_j)
+    probs.flags.writeable = False
+    law = JointPredictive(
+        probabilities=probs,
+        s_j=s_j,
+        prevalence_shape=(float(spec.k_j), float(spec.k - spec.k_j)),
+        error_shape=(float(s_j), float(spec.n_j - s_j)),
+    )
+    mass = law.total_mass()
+    if abs(mass - 1.0) > _JOINT_MASS_TOL:
+        raise RuntimeError(f"joint predictive mass {mass} deviates from 1 beyond tolerance")
+    return law

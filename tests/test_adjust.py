@@ -4,15 +4,45 @@ import random
 import pytest
 
 from ssbc.adjust import (
-    _ssbc_full_scan,
     dkwm_adjust,
     dkwm_eps,
     highest_grid_index_below,
+    search_grid,
     ssbc_adjust,
 )
 from ssbc.coverage import CalibrationContext, CoverageRegime, coverage_law, tail_prob
+from ssbc.mondrian import DegenerateRungError, MondrianSpec, budget_success_prob, ssbc_mondrian
 
-from oracles import ssbc_scan_infinite
+from oracles import full_scan, ssbc_scan_infinite
+
+
+def _assert_matches_scan(report, best, skipped, note):
+    """The report agrees with an exhaustive scan's answer ``best``."""
+    assert report.feasible == (best is not None)
+    assert report.skipped_rungs == skipped
+    if best is None:
+        assert report.u_star is None and report.achieved_tail is None
+        assert report.note == note
+    else:
+        assert (report.u_star, report.achieved_tail) == best  # tail bits included
+        assert report.note is None
+
+
+class TestSearchGrid:
+    def test_answer_and_evaluation_bound(self):
+        for u_hi in (0, 1, 2, 10**6):
+            # "none pass", "answer at 1", an interior answer, "all pass"
+            for u_star in sorted({0, min(1, u_hi), u_hi // 3, max(0, u_hi - 1), u_hi}):
+                calls = []
+
+                def tail(u):
+                    calls.append(u)
+                    return float(u_star - u)  # nonincreasing; passes iff u <= u_star
+
+                got = search_grid(tail, u_hi, 0.0)
+                assert got == (None if u_star == 0 else (u_star, 0.0))
+                assert all(1 <= u <= u_hi for u in calls)
+                assert len(calls) <= (math.ceil(math.log2(u_hi)) + 2 if u_hi else 0)
 
 
 class TestHighestGridIndexBelow:
@@ -82,11 +112,51 @@ class TestSsbcAdjust:
                 if rng.random() < 0.4
                 else CoverageRegime.infinite()
             )
-            fast = ssbc_adjust(ctx, regime)
-            slow = _ssbc_full_scan(ctx, regime)
-            assert fast.feasible == slow.feasible
-            assert fast.u_star == slow.u_star
-            assert fast.achieved_tail == slow.achieved_tail
+            best = full_scan(
+                lambda u: tail_prob(coverage_law(u / (n + 1), n, regime), ctx.alpha_target),
+                highest_grid_index_below(ctx.alpha_target, n),
+                1.0 - ctx.delta,
+            )
+            _assert_matches_scan(
+                ssbc_adjust(ctx, regime),
+                best,
+                (),
+                "no grid level below alpha_target satisfies the tail constraint",
+            )
+        rng = random.Random(29)
+        specs = [
+            MondrianSpec(k=10, k_j=4, n_j=1, m=5, alpha_target=0.9, delta=0.5),  # all degenerate
+            MondrianSpec(k=10, k_j=4, n_j=2, m=15, alpha_target=0.9, delta=0.01),  # skip, infeasible
+        ]
+        for _ in range(60):
+            k = rng.randint(1, 60)
+            specs.append(
+                MondrianSpec(
+                    k=k,
+                    k_j=rng.randint(0, k),
+                    n_j=rng.randint(1, 40),
+                    m=rng.randint(1, 15),
+                    alpha_target=rng.uniform(0.02, 0.98),
+                    delta=rng.uniform(0.01, 0.9),
+                )
+            )
+        for spec in specs:
+            skipped = []
+
+            def p_good(u):
+                try:
+                    return budget_success_prob(spec, u / (spec.n_j + 1))
+                except DegenerateRungError:
+                    skipped.append(u)
+                    return -math.inf
+
+            highest = highest_grid_index_below(spec.alpha_target, spec.n_j)
+            best = full_scan(p_good, highest, 1.0 - spec.delta)
+            if skipped and len(skipped) == highest:
+                note = "every grid level below alpha_target has a degenerate miscoverage law"
+            else:
+                note = "no grid level below alpha_target meets the budget constraint"
+            _assert_matches_scan(ssbc_mondrian(spec), best, tuple(skipped), note)
 
     def test_reverification_and_maximality(self):
         rng = random.Random(5)

@@ -165,6 +165,8 @@ class TestCalibrationContext:
         with pytest.raises(ValueError):
             CalibrationContext(0, 0.5, 0.1)
         with pytest.raises(ValueError):
+            CalibrationContext(n=True, alpha_target=0.5, delta=0.1)
+        with pytest.raises(ValueError):
             CalibrationContext(10, 0.0, 0.1)
         with pytest.raises(ValueError):
             CalibrationContext(10, 0.5, 1.0)

@@ -8,29 +8,12 @@ from ssbc.adjust import ssbc_adjust
 from ssbc.mc import (
     SimConfig,
     run_simulation,
-    split_conformal_threshold,
     theory_overlay,
     violation_threshold,
 )
 from ssbc.serialize import canonical_json
 
 from oracles import bb_survival
-
-
-class TestSplitConformalThreshold:
-    def test_order_statistic(self):
-        assert split_conformal_threshold([1, 2, 3, 4], 0.5) == 3
-
-    def test_degenerate_everything_set(self):
-        assert split_conformal_threshold([5], 0.4) == math.inf
-
-    def test_grid_level(self):
-        scores = list(range(50, 0, -1))  # unsorted on purpose
-        assert split_conformal_threshold(scores, 2 / 51) == 49
-
-    def test_empty_error(self):
-        with pytest.raises(ValueError):
-            split_conformal_threshold([], 0.5)
 
 
 class TestViolationThreshold:
@@ -137,6 +120,8 @@ class TestRunSimulation:
             SimConfig(n=5, m=5, alpha_target=0.1, delta=0.1, runs=10, seed=1, methods=("vanilla",))
         with pytest.raises(ValueError):
             SimConfig(n=5, m=5, alpha_target=0.1, delta=0.1, runs=10, seed=1, methods=("none", "none"))
+        with pytest.raises(ValueError):
+            SimConfig(n=5, m=5, alpha_target=0.1, delta=0.1, runs=True, seed=1)
 
     def test_seed_echo_and_metadata(self):
         config = SimConfig(n=10, m=10, alpha_target=0.3, delta=0.3, runs=50, seed=424242)

@@ -14,12 +14,11 @@ from ssbc.mondrian import (
     class_count_predictive,
     error_budget,
     error_count_conditional,
-    joint_predictive,
     miscoverage_count,
     ssbc_mondrian,
 )
 
-from oracles import bb_pmf
+from oracles import bb_pmf, joint_predictive
 
 
 def _p_good_brute_force(spec: MondrianSpec, s_j: int) -> float:
@@ -59,12 +58,12 @@ class TestClassCountPredictive:
     def test_point_mass_all_class(self):
         counts = class_count_predictive(self._spec(100, 100, m=20))
         assert counts[20] == 1.0
-        assert counts[:20].sum() == 0.0
+        assert sum(counts[:20]) == 0.0
 
     def test_point_mass_no_class(self):
         counts = class_count_predictive(self._spec(100, 0, m=20))
         assert counts[0] == 1.0
-        assert counts[1:].sum() == 0.0
+        assert sum(counts[1:]) == 0.0
 
     def test_uniform_when_symmetric_single(self):
         counts = class_count_predictive(self._spec(2, 1, m=10))
@@ -177,9 +176,26 @@ class TestBudgetSuccessProb:
         assert got == pytest.approx(_p_good_brute_force(spec, 3), abs=1e-9)
 
     def test_nonincreasing_in_rung(self):
-        spec = MondrianSpec(k=50, k_j=15, n_j=40, m=15, alpha_target=0.5, delta=0.2)
-        values = [budget_success_prob(spec, u / 41) for u in range(1, 20)]
-        assert all(hi >= lo - 1e-12 for hi, lo in zip(values, values[1:]))
+        # ssbc_mondrian bisects over the rungs, which is exact only if the
+        # success probability never rises with u; check every non-degenerate
+        # rung 1..n_j-1 of seeded random specs
+        rng = random.Random(41)
+        specs = [MondrianSpec(k=50, k_j=15, n_j=40, m=15, alpha_target=0.5, delta=0.2)]
+        for _ in range(40):
+            k = rng.randint(1, 40)
+            specs.append(
+                MondrianSpec(
+                    k=k,
+                    k_j=rng.randint(0, k),
+                    n_j=rng.randint(2, 40),
+                    m=rng.randint(1, 20),
+                    alpha_target=rng.uniform(0.02, 0.98),
+                    delta=0.1,
+                )
+            )
+        for spec in specs:
+            values = [budget_success_prob(spec, u / (spec.n_j + 1)) for u in range(1, spec.n_j)]
+            assert all(hi >= lo - 1e-12 for hi, lo in zip(values, values[1:]))
 
     def test_coupling_matters(self):
         # replacing the conditional error law by its marginal changes the
@@ -296,6 +312,8 @@ class TestSsbcMondrian:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             MondrianSpec(k=10, k_j=11, n_j=5, m=3, alpha_target=0.1, delta=0.1)
+        with pytest.raises(ValueError):
+            MondrianSpec(k=True, k_j=1, n_j=5, m=3, alpha_target=0.1, delta=0.1)
         with pytest.raises(ValueError):
             MondrianSpec(k=10, k_j=5, n_j=0, m=3, alpha_target=0.1, delta=0.1)
         with pytest.raises(ValueError):
