@@ -38,13 +38,6 @@ from .feasibility import (
     grid_implementable,
     rung_table,
 )
-from .mc import (
-    MethodReport,
-    SimConfig,
-    SimReport,
-    run_simulation,
-    theory_overlay,
-)
 from .mondrian import (
     DegenerateRungError,
     MondrianSpec,
@@ -111,3 +104,15 @@ __all__ = [
     "tail_prob",
     "theory_overlay",
 ]
+
+# The Monte Carlo harness is the only module that needs numpy; load it on
+# first use so that the analytic API starts without it (PEP 562).
+_MC_NAMES = frozenset({"MethodReport", "SimConfig", "SimReport", "run_simulation", "theory_overlay"})
+
+
+def __getattr__(name):
+    if name in _MC_NAMES:
+        from . import mc
+
+        return getattr(mc, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,6 @@ import sys
 from .adjust import AdjustmentReport, dkwm_adjust, ssbc_adjust
 from .coverage import CalibrationContext, CoverageRegime
 from .feasibility import RungTable, feasibility_report, rung_table
-from .mc import SimConfig, SimReport, run_simulation, theory_overlay
 from .mondrian import MondrianSpec, ssbc_mondrian
 from .serialize import canonical_json, format_float
 
@@ -90,21 +89,14 @@ def _rungs_csv(table: RungTable) -> str:
     return "\n".join(lines)
 
 
-def _simulate_csv(report: SimReport) -> str:
-    cfg = SimConfig(
-        n=report.n,
-        m=report.m,
-        alpha_target=report.alpha_target,
-        delta=report.delta,
-        runs=report.runs_completed,
-        seed=report.seed_echo,
-        score_model=report.score_model,
-    )
+def _simulate_csv(config, report) -> str:
+    from .mc import theory_overlay
+
     lines = ["method,coverage_level,count,theory_pmf"]
     for method in report.methods:
         if method.skipped:
             continue
-        pmf = theory_overlay(cfg, method.alpha_used)
+        pmf = theory_overlay(config, method.alpha_used)
         for level, (count, theory) in enumerate(zip(method.coverage_histogram, pmf)):
             lines.append(
                 f"{method.method},{format_float(level / report.m)},{count},{format_float(theory)}"
@@ -158,6 +150,9 @@ def _cmd_mondrian(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # Deferred so that only simulate loads numpy.
+    from .mc import SimConfig, run_simulation
+
     config = SimConfig(
         n=args.n,
         m=args.m,
@@ -170,7 +165,7 @@ def _cmd_simulate(args) -> int:
     )
     report = run_simulation(config, workers=args.workers)
     if args.format == "csv":
-        print(_simulate_csv(report))
+        print(_simulate_csv(config, report))
     else:
         _emit(report.to_dict(), args.format)
     return EXIT_OK
@@ -284,7 +279,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
+        # RuntimeError: a special-function kernel that did not converge.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +224,10 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> SimReport:
         if workers == 1:
             total = _count_runs(config, ks, 0, config.runs)
         else:
+            # Imported here: concurrent.futures.process and multiprocessing
+            # cost ~20 ms to load, and one worker needs neither.
+            from concurrent.futures import ProcessPoolExecutor
+
             bounds = np.linspace(0, config.runs, workers + 1).astype(int)
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [

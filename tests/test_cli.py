@@ -1,9 +1,26 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from ssbc.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from ssbc.serialize import canonical_json
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter on this checkout's sources.  The
+    test process itself has numpy loaded, so import checks need one."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +109,19 @@ class TestAdjustCommand:
         )
         assert code == EXIT_USAGE
         assert "alpha" in err
+
+    def test_kernel_failure_is_an_error_not_a_traceback(self):
+        # The continued fraction does not converge at these shapes; the CLI
+        # must still end with a message and exit 1.
+        proc = run_fresh(
+            "import sys\n"
+            "from ssbc.cli import main\n"
+            "sys.exit(main(['adjust', '--n', '73548323', '--alpha', '0.215781402',"
+            " '--delta', '0.131813346', '--regime', 'inf']))\n"
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_json_round_trip_is_byte_stable(self, capsys):
         code, out, _ = run_cli(
@@ -261,3 +291,94 @@ class TestHelp:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == EXIT_USAGE
+
+
+MC_NAMES = ("MethodReport", "SimConfig", "SimReport", "run_simulation", "theory_overlay")
+
+PUBLIC_API = {
+    "AdjustmentReport", "BetaBinomialParams", "BetaParams", "CalibrationContext",
+    "CoverageLaw", "CoverageRegime", "DegenerateRungError", "FeasibilityReport", "GridError",
+    "METHOD_DKWM", "METHOD_SSBC", "MethodReport", "MondrianSpec", "Rung", "RungTable",
+    "SimConfig", "SimReport", "alpha_star_exact_finite", "alpha_star_infinite",
+    "alpha_star_laplace", "beta_survival", "betabinom_pmf", "betabinom_pmf_vector",
+    "betabinom_survival", "budget_success_prob", "class_count_predictive", "coverage_law",
+    "dkwm_adjust", "dkwm_eps", "error_count_conditional", "feasibility_report",
+    "grid_implementable", "log_beta", "miscoverage_count", "order_index", "reg_inc_beta",
+    "rung_table", "run_simulation", "ssbc_adjust", "ssbc_mondrian", "tail_prob",
+    "theory_overlay",
+}
+
+
+class TestImports:
+    """Each check runs in a fresh interpreter; the child asserts and a
+    failed assertion shows as its traceback."""
+
+    def check(self, code: str) -> None:
+        proc = run_fresh(code)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_analytic_commands_never_load_numpy(self):
+        self.check("""
+            import contextlib, io, sys
+            import ssbc, ssbc.cli
+            argvs = [
+                ["adjust", "--n", "25", "--alpha", "0.5", "--delta", "0.1", "--regime", "inf"],
+                ["feasible", "--n", "50", "--delta", "0.1", "--m", "100"],
+                ["rungs", "--n", "50", "--alpha", "0.1", "--regime", "inf", "--format", "csv"],
+                ["mondrian", "--k", "40", "--kj", "12", "--nj", "30", "--m", "12",
+                 "--alpha", "0.2", "--delta", "0.15"],
+            ]
+            for argv in argvs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert ssbc.cli.main(argv) == 0, argv
+            loaded = {"numpy", "ssbc.mc", "concurrent.futures.process"} & set(sys.modules)
+            assert not loaded, loaded
+        """)
+
+    def test_one_worker_simulate_skips_the_process_pool(self):
+        self.check("""
+            import contextlib, io, sys
+            import ssbc.cli
+            argv = ["simulate", "--n", "20", "--m", "30", "--alpha", "0.1", "--delta", "0.1",
+                    "--runs", "50", "--seed", "1", "--workers", "1"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert ssbc.cli.main(argv) == 0
+            assert "ssbc.mc" in sys.modules
+            assert "concurrent.futures.process" not in sys.modules
+        """)
+
+    def test_mc_names_resolve_to_the_harness(self):
+        self.check(f"""
+            import sys
+            import ssbc
+            assert "ssbc.mc" not in sys.modules
+            for name in {MC_NAMES!r}:
+                assert getattr(ssbc, name) is getattr(ssbc.mc, name), name
+        """)
+
+    def test_public_names_unchanged(self):
+        self.check(f"""
+            import ssbc
+            assert set(ssbc.__all__) == {PUBLIC_API!r}
+            for name in ssbc.__all__:
+                getattr(ssbc, name)
+        """)
+
+    def test_star_import_binds_mc_names(self):
+        self.check(f"""
+            from ssbc import *
+            import ssbc.mc
+            for name in {MC_NAMES!r}:
+                assert globals()[name] is getattr(ssbc.mc, name), name
+        """)
+
+    def test_unknown_name_is_attribute_error(self):
+        self.check("""
+            import ssbc
+            try:
+                ssbc.no_such_name
+            except AttributeError as exc:
+                assert "no_such_name" in str(exc)
+            else:
+                raise AssertionError("ssbc.no_such_name resolved")
+        """)
