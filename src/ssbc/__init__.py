@@ -26,6 +26,7 @@ from .coverage import (
     coverage_law,
     order_index,
     tail_prob,
+    window_threshold,
 )
 from .feasibility import (
     FeasibilityReport,
@@ -43,14 +44,13 @@ from .mondrian import (
     MondrianSpec,
     budget_success_prob,
     class_count_predictive,
-    error_count_conditional,
-    miscoverage_count,
     ssbc_mondrian,
 )
 from .specfun import (
     BetaBinomialParams,
     BetaParams,
     beta_survival,
+    betabinom_cdf,
     betabinom_pmf,
     betabinom_pmf_vector,
     betabinom_survival,
@@ -82,6 +82,7 @@ __all__ = [
     "alpha_star_infinite",
     "alpha_star_laplace",
     "beta_survival",
+    "betabinom_cdf",
     "betabinom_pmf",
     "betabinom_pmf_vector",
     "betabinom_survival",
@@ -90,11 +91,9 @@ __all__ = [
     "coverage_law",
     "dkwm_adjust",
     "dkwm_eps",
-    "error_count_conditional",
     "feasibility_report",
     "grid_implementable",
     "log_beta",
-    "miscoverage_count",
     "order_index",
     "reg_inc_beta",
     "rung_table",
@@ -103,6 +102,7 @@ __all__ = [
     "ssbc_mondrian",
     "tail_prob",
     "theory_overlay",
+    "window_threshold",
 ]
 
 # The Monte Carlo harness is the only module that needs numpy; load it on

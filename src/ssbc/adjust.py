@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 
 from .coverage import (
     CalibrationContext,
+    CoverageLaw,
     CoverageRegime,
     coverage_law,
     order_index,
     snapped_ceil,
     tail_prob,
 )
-from .specfun import BetaParams, beta_survival
 
 METHOD_SSBC = "ssbc"
 METHOD_DKWM = "dkwm"
@@ -198,7 +198,7 @@ def dkwm_adjust(ctx: CalibrationContext) -> AdjustmentReport:
         # everything-set: coverage is identically 1
         tail = 1.0
     else:
-        tail = beta_survival(1.0 - ctx.alpha_target, BetaParams(float(k), float(n + 1 - k)))
+        tail = tail_prob(CoverageLaw(k, n + 1 - k, regime), ctx.alpha_target)
     return AdjustmentReport(
         feasible=True,
         method=METHOD_DKWM,

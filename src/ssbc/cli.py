@@ -258,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="worker processes (default: SSBC_SIM_WORKERS or 1); does not affect results",
+        default=1,
+        help="run ranges to split the work into, run by at most one process per CPU "
+        "(default 1); does not affect results",
     )
     p_sim.add_argument("--format", choices=("json", "csv", "human"), default="json")
     p_sim.set_defaults(func=_cmd_simulate)

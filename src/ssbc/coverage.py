@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .specfun import BetaBinomialParams, BetaParams, beta_survival, betabinom_survival
+from .specfun import check_int  # re-exported: the package's one integer validator
 
 INFINITE_TEST = "infinite"
 FINITE_WINDOW = "window"
@@ -27,41 +28,29 @@ class GridError(ValueError):
     """Raised when a level is not a grid point u/(n+1) with 1 <= u <= n."""
 
 
-def check_int(name: str, value, lo: int = 1, hi: int | None = None) -> None:
-    """Raise ValueError unless value is an int, not a bool, in [lo, hi]
-    (no upper limit when hi is None)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int)
-        or value < lo
-        or (hi is not None and value > hi)
-    ):
-        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
-
-
 def check_unit(name: str, value: float) -> None:
     """Raise ValueError unless 0 < value < 1."""
     if not (0.0 < value < 1.0):
         raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
+def _snapped(value: float, scale: float, rounding) -> int:
+    nearest = round(value)
+    if abs(value - nearest) <= _SNAP_TOL * max(1.0, abs(scale)):
+        return int(nearest)
+    return rounding(value)
+
+
 def snapped_ceil(value: float, scale: float = 1.0) -> int:
     """ceil(value), except values within snapping distance of an integer
     are taken as that integer (representation noise must not shift the
     order statistic by one)."""
-    nearest = round(value)
-    if abs(value - nearest) <= _SNAP_TOL * max(1.0, abs(scale)):
-        return int(nearest)
-    return math.ceil(value)
+    return _snapped(value, scale, math.ceil)
 
 
 def snapped_floor(value: float, scale: float = 1.0) -> int:
     """floor(value) with the same integer snapping as :func:`snapped_ceil`."""
-    nearest = round(value)
-    if abs(value - nearest) <= _SNAP_TOL * max(1.0, abs(scale)):
-        return int(nearest)
-    return math.floor(value)
+    return _snapped(value, scale, math.floor)
 
 
 @dataclass(frozen=True)
@@ -117,8 +106,8 @@ class CoverageLaw:
     regime: CoverageRegime
 
     def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1:
-            raise ValueError(f"coverage law needs integer shapes >= 1, got ({self.a}, {self.b})")
+        check_int("coverage law shape a", self.a)
+        check_int("coverage law shape b", self.b)
 
 
 def order_index(alpha: float, n: int) -> int:
@@ -150,18 +139,24 @@ def coverage_law(alpha_prime: float, n: int, regime: CoverageRegime) -> Coverage
     return CoverageLaw(a=n + 1 - u, b=u, regime=regime)
 
 
+def window_threshold(alpha_target: float, m: int) -> int:
+    """Smallest covered count of a window of size m that meets the target:
+    x* = ceil((1-alpha_target) m), snapped and clipped to 0..m+1.  A window
+    with fewer covered points violates the target."""
+    x_star = snapped_ceil((1.0 - alpha_target) * m, scale=m)
+    return max(0, min(m + 1, x_star))
+
+
 def tail_prob(law: CoverageLaw, alpha_target: float) -> float:
     """Pr(coverage >= 1 - alpha_target) under the law.
 
     Infinite test: Pr(Z >= 1-alpha_target), Z ~ Beta(a, b).  Finite window
-    of size m: Pr(X >= ceil((1-alpha_target) m)), X ~ Beta-Binomial(m; a, b);
-    equality at the threshold counts as success.
+    of size m: Pr(X >= x*), X ~ Beta-Binomial(m; a, b), with x* the
+    :func:`window_threshold`; equality at the threshold counts as success.
     """
     check_unit("alpha_target", alpha_target)
-    t = 1.0 - alpha_target
     if not law.regime.is_window:
-        return beta_survival(t, BetaParams(float(law.a), float(law.b)))
+        return beta_survival(1.0 - alpha_target, BetaParams(float(law.a), float(law.b)))
     m = law.regime.m
-    x_star = snapped_ceil(t * m, scale=m)
-    x_star = max(0, min(m + 1, x_star))
-    return betabinom_survival(x_star, BetaBinomialParams(m, float(law.a), float(law.b)))
+    params = BetaBinomialParams(m, float(law.a), float(law.b))
+    return betabinom_survival(window_threshold(alpha_target, m), params)

@@ -152,22 +152,13 @@ def rung_table(n: int, alpha_target: float, regime: CoverageRegime) -> RungTable
 def feasibility_report(n: int, delta: float, m: int | None = None) -> FeasibilityReport:
     """Aggregate of the feasibility computations, windowed fields optional."""
     implementable, delta_max = grid_implementable(n, delta)
-    report = FeasibilityReport(
+    return FeasibilityReport(
         n=n,
         delta=delta,
         alpha_star_inf=alpha_star_infinite(n, delta),
         delta_max_grid=delta_max,
         implementable=implementable,
-    )
-    if m is None:
-        return report
-    return FeasibilityReport(
-        n=n,
-        delta=delta,
-        alpha_star_inf=report.alpha_star_inf,
-        delta_max_grid=delta_max,
-        implementable=implementable,
         m=m,
-        alpha_star_m=alpha_star_exact_finite(n, delta, m),
-        alpha_star_m_laplace=alpha_star_laplace(n, delta, m),
+        alpha_star_m=None if m is None else alpha_star_exact_finite(n, delta, m),
+        alpha_star_m_laplace=None if m is None else alpha_star_laplace(n, delta, m),
     )

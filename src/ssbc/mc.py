@@ -22,14 +22,12 @@ from .coverage import (
     check_int,
     check_unit,
     order_index,
-    snapped_ceil,
+    window_threshold,
 )
 from .specfun import BetaBinomialParams, betabinom_pmf_vector
 
 SCORE_MODELS = ("abs_cauchy", "abs_normal", "uniform")
 METHOD_NAMES = ("none", "ssbc", "dkwm")
-
-WORKERS_ENV_VAR = "SSBC_SIM_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -51,8 +49,7 @@ class SimConfig:
         check_unit("alpha_target", self.alpha_target)
         check_unit("delta", self.delta)
         check_int("runs", self.runs)
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        check_int("seed", self.seed, 0, 2**64 - 1)
         if self.score_model not in SCORE_MODELS:
             raise ValueError(f"score_model must be one of {SCORE_MODELS}, got {self.score_model!r}")
         if not self.methods:
@@ -155,15 +152,6 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
     return hist
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV_VAR, "")
-        workers = int(env) if env else 1
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
-    return workers
-
-
 def _resolve_methods(config: SimConfig) -> list[MethodReport]:
     """Per-method adjusted levels; infeasible adjusters mark the method
     skipped instead of failing the simulation."""
@@ -199,22 +187,15 @@ def theory_overlay(config: SimConfig, method_alpha: float) -> tuple[float, ...]:
     return tuple(betabinom_pmf_vector(params))
 
 
-def violation_threshold(alpha_target: float, m: int) -> int:
-    """Smallest covered count that is NOT a violation: x* = ceil((1-alpha) m).
-    A window violates when its covered count is below x*."""
-    x_star = snapped_ceil((1.0 - alpha_target) * m, scale=m)
-    return max(0, min(m + 1, x_star))
-
-
-def run_simulation(config: SimConfig, workers: int | None = None) -> SimReport:
+def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
     """Execute the experiment and summarize per-method violation rates,
     coverage histograms, and theory overlays.
 
-    ``workers`` parallelizes over disjoint run ranges (default from the
-    SSBC_SIM_WORKERS environment variable, else 1); the result does not
-    depend on the worker count.
+    ``workers`` splits the runs into that many disjoint ranges, executed by
+    a process pool of at most ``os.cpu_count()`` processes; the result does
+    not depend on the worker count.
     """
-    workers = _resolve_workers(workers)
+    check_int("workers", workers)
     resolved = _resolve_methods(config)
     active = [r for r in resolved if not r.skipped]
     ks = tuple(order_index(r.alpha_used, config.n) for r in active)
@@ -228,17 +209,16 @@ def run_simulation(config: SimConfig, workers: int | None = None) -> SimReport:
             # cost ~20 ms to load, and one worker needs neither.
             from concurrent.futures import ProcessPoolExecutor
 
-            bounds = np.linspace(0, config.runs, workers + 1).astype(int)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_count_runs, config, ks, int(lo), int(hi))
-                    for lo, hi in zip(bounds[:-1], bounds[1:])
-                    if lo < hi
-                ]
+            # More ranges than runs would only add empty ones.
+            bounds = np.linspace(0, config.runs, min(workers, config.runs) + 1).astype(int)
+            chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
+            processes = min(os.cpu_count() or 1, len(chunks))
+            with ProcessPoolExecutor(max_workers=processes) as pool:
+                futures = [pool.submit(_count_runs, config, ks, lo, hi) for lo, hi in chunks]
                 for future in futures:
                     total += future.result()
 
-    x_star = violation_threshold(config.alpha_target, config.m)
+    x_star = window_threshold(config.alpha_target, config.m)
     reports = []
     index = 0
     for report in resolved:

@@ -25,10 +25,9 @@ from .coverage import (
     check_int,
     check_unit,
     grid_index,
-    order_index,
     snapped_floor,
 )
-from .specfun import BetaBinomialParams, betabinom_pmf, betabinom_pmf_vector
+from .specfun import BetaBinomialParams, betabinom_cdf, betabinom_pmf_vector
 
 
 class DegenerateRungError(ValueError):
@@ -60,15 +59,6 @@ class MondrianSpec:
         check_unit("delta", self.delta)
 
 
-def miscoverage_count(alpha: float, n_j: int) -> int:
-    """Calibration miscoverage count s_j = n_j - ceil((1-alpha)(n_j+1)) + 1.
-
-    May be 0 when alpha < 1/(n_j+1); downstream treats 0 and n_j as
-    degenerate.
-    """
-    return n_j - order_index(alpha, n_j) + 1
-
-
 def class_count_predictive(spec: MondrianSpec) -> list[float]:
     """Predictive pmf of the class-j count over r = 0..m.
 
@@ -84,20 +74,6 @@ def class_count_predictive(spec: MondrianSpec) -> list[float]:
     return counts
 
 
-def error_count_conditional(e: int, r: int, s_j: int, n_j: int) -> float:
-    """Pr(e_j = e | m_j = r) = C(r,e) B(e+s_j, r-e+n_j-s_j) / B(s_j, n_j-s_j);
-    1 for the empty window r = 0."""
-    if s_j <= 0 or s_j >= n_j:
-        raise DegenerateRungError(
-            f"Beta(s_j, n_j - s_j) undefined for s_j={s_j}, n_j={n_j}"
-        )
-    if not (0 <= e <= r):
-        raise ValueError(f"need 0 <= e <= r, got e={e}, r={r}")
-    if r == 0:
-        return 1.0
-    return betabinom_pmf(e, BetaBinomialParams(r, float(s_j), float(n_j - s_j)))
-
-
 def error_budget(alpha: float, r: int) -> int:
     """Per-window error cap floor(alpha * r)."""
     return snapped_floor(alpha * r, scale=max(1, r))
@@ -108,22 +84,23 @@ def budget_success_prob(spec: MondrianSpec, alpha_prime: float) -> float:
     sum_r Pr(m_j = r) Pr(e_j <= floor(alpha_target r) | m_j = r).
 
     The cap uses the spec's target level while the error law uses the
-    miscoverage count of the candidate rung alpha_prime.  The coupling of
+    miscoverage count of the candidate rung alpha_prime = u/(n_j+1), which
+    on the grid is s_j = u; u = n_j is degenerate.  The coupling of
     e_j and m_j is kept: each window's cap is evaluated under the
     conditional law for its own count, never under the marginal of e_j.
     """
-    u = grid_index(alpha_prime, spec.n_j)
-    s_j = miscoverage_count(alpha_prime, spec.n_j)
-    if s_j != u:
-        raise RuntimeError(f"grid rung u={u} produced inconsistent s_j={s_j}")
+    s_j = grid_index(alpha_prime, spec.n_j)
+    if s_j == spec.n_j:
+        raise DegenerateRungError(
+            f"Beta(s_j, n_j - s_j) undefined for s_j={s_j}, n_j={spec.n_j}"
+        )
     count_pmf = class_count_predictive(spec)
-    terms = []
-    for r in range(spec.m + 1):
-        if count_pmf[r] == 0.0:
-            continue
-        cap = min(error_budget(spec.alpha_target, r), r)
-        within = math.fsum(error_count_conditional(e, r, s_j, spec.n_j) for e in range(cap + 1))
-        terms.append(count_pmf[r] * within)
+    terms = [count_pmf[0]]  # an empty window always meets its budget
+    for r in range(1, spec.m + 1):
+        if count_pmf[r] > 0.0:
+            cap = min(error_budget(spec.alpha_target, r), r)
+            law = BetaBinomialParams(r, float(s_j), float(spec.n_j - s_j))
+            terms.append(count_pmf[r] * betabinom_cdf(cap, law))
     return min(1.0, math.fsum(terms))
 
 

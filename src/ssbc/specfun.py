@@ -2,18 +2,41 @@
 
 Everything is evaluated in log space (via ``math.lgamma``) and exponentiated
 at the end, so shape parameters in the thousands remain accurate.  Accuracy
-contract: absolute error <= 1e-12 for the continuous functions, <= 1e-10 for
-discrete sums.
+contract, as measured, not proven: the absolute error of
+:func:`beta_survival` and :func:`reg_inc_beta` grows about linearly with the
+shape sum, and stays below 2e-15 * (a + b) (against scipy, at most
+1.4e-15 * (a + b) for a + b from 1e2 to 1e7: 4e-14 at 1e2, 6e-13 at 1e3,
+1.2e-11 at 1e4, 1.4e-9 at 1e6).  The Beta-Binomial pmf and its sums are
+within 1e-10 of exact rationals.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 _CF_MAX_ITER = 1000
 _CF_EPS = 1e-15
 _CF_TINY = 1e-300
+
+
+def check_int(name: str, value, lo: int = 1, hi: int | None = None) -> None:
+    """Raise ValueError unless value is an int, not a bool, in [lo, hi]
+    (no upper limit when hi is None)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < lo
+        or (hi is not None and value > hi)
+    ):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _check_shape(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -24,10 +47,8 @@ class BetaParams:
     b: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0 and math.isfinite(self.a)):
-            raise ValueError(f"Beta shape a must be positive and finite, got {self.a!r}")
-        if not (self.b > 0 and math.isfinite(self.b)):
-            raise ValueError(f"Beta shape b must be positive and finite, got {self.b!r}")
+        _check_shape("Beta shape a", self.a)
+        _check_shape("Beta shape b", self.b)
 
 
 @dataclass(frozen=True)
@@ -39,12 +60,9 @@ class BetaBinomialParams:
     b: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"trial count m must be an integer >= 1, got {self.m!r}")
-        if not (self.a > 0 and math.isfinite(self.a)):
-            raise ValueError(f"shape a must be positive and finite, got {self.a!r}")
-        if not (self.b > 0 and math.isfinite(self.b)):
-            raise ValueError(f"shape b must be positive and finite, got {self.b!r}")
+        check_int("trial count m", self.m)
+        _check_shape("shape a", self.a)
+        _check_shape("shape b", self.b)
 
 
 def _stirling_tail(x: float) -> float:
@@ -131,59 +149,57 @@ def _inc_beta_lower(x: float, a: float, b: float) -> float:
     return math.exp(log_front) * _beta_cont_frac(a, b, x) / a
 
 
-def reg_inc_beta(x: float, params: BetaParams) -> float:
-    """Regularized incomplete beta I_x(a, b), i.e. the Beta(a, b) CDF at x.
-
-    Uses the continued-fraction expansion with the symmetry switch at
-    x > (a+1)/(a+b+2) so that the directly computed piece is always the
-    small one.
-    """
+def _inc_beta_pair(name: str, x: float, params: BetaParams) -> tuple[float, float]:
+    """(I_x(a, b), 1 - I_x(a, b)).  The switch at x = (a+1)/(a+b+2) picks
+    the branch on which the directly evaluated piece is the small one, so
+    neither value loses accuracy to cancellation."""
     if not (0.0 <= x <= 1.0):
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
+        raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
     a, b = params.a, params.b
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
     if x < (a + 1.0) / (a + b + 2.0):
-        return _inc_beta_lower(x, a, b)
-    return 1.0 - _inc_beta_lower(1.0 - x, b, a)
+        lower = 0.0 if x == 0.0 else _inc_beta_lower(x, a, b)
+        return lower, 1.0 - lower
+    upper = 0.0 if x == 1.0 else _inc_beta_lower(1.0 - x, b, a)
+    return 1.0 - upper, upper
+
+
+def reg_inc_beta(x: float, params: BetaParams) -> float:
+    """Regularized incomplete beta I_x(a, b), i.e. the Beta(a, b) CDF at x,
+    by the continued-fraction expansion."""
+    return _inc_beta_pair("x", x, params)[0]
 
 
 def beta_survival(t: float, params: BetaParams) -> float:
-    """Pr(Z >= t) for Z ~ Beta(a, b).
-
-    Mirrors the CDF branch switch: when I_t is close to 1 the survival is
-    evaluated directly on the upper branch instead of as 1 - I_t.
-    """
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    a, b = params.a, params.b
-    if t == 0.0:
-        return 1.0
-    if t == 1.0:
-        return 0.0
-    if t < (a + 1.0) / (a + b + 2.0):
-        return 1.0 - _inc_beta_lower(t, a, b)
-    return _inc_beta_lower(1.0 - t, b, a)
+    """Pr(Z >= t) for Z ~ Beta(a, b), by the continued-fraction expansion."""
+    return _inc_beta_pair("t", t, params)[1]
 
 
-def _betabinom_log_pmf(r: int, params: BetaBinomialParams) -> float:
+def _betabinom_terms(params: BetaBinomialParams, start: int, stop: int) -> Iterator[float]:
+    """Pr(X = r) for r in start..stop-1, X ~ Beta-Binomial(m; a, b); the
+    law's constants are computed once, not per term."""
     m, a, b = params.m, params.a, params.b
-    log_choose = math.lgamma(m + 1) - math.lgamma(r + 1) - math.lgamma(m - r + 1)
-    return log_choose + log_beta(r + a, m - r + b) - log_beta(a, b)
+    lg_m = math.lgamma(m + 1)
+    lb_ab = log_beta(a, b)
+    for r in range(start, stop):
+        log_choose = lg_m - math.lgamma(r + 1) - math.lgamma(m - r + 1)
+        yield math.exp(log_choose + log_beta(r + a, m - r + b) - lb_ab)
 
 
 def betabinom_pmf(r: int, params: BetaBinomialParams) -> float:
     """Pr(X = r) for X ~ Beta-Binomial(m; a, b) = C(m,r) B(r+a, m-r+b) / B(a,b)."""
-    if not isinstance(r, int) or not (0 <= r <= params.m):
-        raise ValueError(f"r must be an integer in [0, {params.m}], got {r!r}")
-    return math.exp(_betabinom_log_pmf(r, params))
+    check_int("r", r, 0, params.m)
+    return next(_betabinom_terms(params, r, r + 1))
 
 
 def betabinom_pmf_vector(params: BetaBinomialParams) -> list[float]:
     """The full pmf over r = 0..m as a list."""
-    return [math.exp(_betabinom_log_pmf(r, params)) for r in range(params.m + 1)]
+    return list(_betabinom_terms(params, 0, params.m + 1))
+
+
+def betabinom_cdf(x: int, params: BetaBinomialParams) -> float:
+    """Pr(X <= x) for X ~ Beta-Binomial(m; a, b), summed exactly over 0..x."""
+    check_int("x", x, 0, params.m)
+    return math.fsum(_betabinom_terms(params, 0, x + 1))
 
 
 def betabinom_survival(x_star: int, params: BetaBinomialParams) -> float:
@@ -193,9 +209,7 @@ def betabinom_survival(x_star: int, params: BetaBinomialParams) -> float:
     the result keeps full absolute accuracy whether it is near 0 or near 1.
     """
     m = params.m
-    if not isinstance(x_star, int) or not (0 <= x_star <= m + 1):
-        raise ValueError(f"x_star must be an integer in [0, {m + 1}], got {x_star!r}")
-    n_upper = m - x_star + 1
-    if n_upper <= x_star:
-        return math.fsum(betabinom_pmf(r, params) for r in range(x_star, m + 1))
-    return 1.0 - math.fsum(betabinom_pmf(r, params) for r in range(0, x_star))
+    check_int("x_star", x_star, 0, m + 1)
+    if m - x_star + 1 <= x_star:
+        return math.fsum(_betabinom_terms(params, x_star, m + 1))
+    return 1.0 - math.fsum(_betabinom_terms(params, 0, x_star))

@@ -5,8 +5,9 @@ The laws and scans use exact rational arithmetic only (``math.comb`` /
 log-space evaluation paths, so agreement is a genuine two-route check.
 The last part holds references that only tests need: an exhaustive rung
 scan to check the bisecting grid search against, and the joint predictive
-law of the class-conditional budget, assembled from the two factors the
-package multiplies.
+law of the class-conditional budget, assembled pair by pair from the
+package's count law and its Beta-Binomial pmf (the package itself sums one
+error-count CDF per window count).
 """
 
 from __future__ import annotations
@@ -18,13 +19,9 @@ from math import comb, factorial
 
 import numpy as np
 
-from ssbc.mondrian import (
-    DegenerateRungError,
-    MondrianSpec,
-    class_count_predictive,
-    error_count_conditional,
-    miscoverage_count,
-)
+from ssbc.coverage import order_index
+from ssbc.mondrian import DegenerateRungError, MondrianSpec, class_count_predictive
+from ssbc.specfun import BetaBinomialParams, betabinom_pmf
 
 _JOINT_MASS_TOL = 1e-9
 
@@ -137,6 +134,29 @@ def full_scan(tail_fn, u_hi: int, threshold):
         if tail >= threshold:
             best = (u, tail)
     return best
+
+
+def miscoverage_count(alpha: float, n_j: int) -> int:
+    """Calibration miscoverage count s_j = n_j - ceil((1-alpha)(n_j+1)) + 1.
+
+    May be 0 when alpha < 1/(n_j+1); downstream treats 0 and n_j as
+    degenerate.  On the grid alpha = u/(n_j+1) it equals u.
+    """
+    return n_j - order_index(alpha, n_j) + 1
+
+
+def error_count_conditional(e: int, r: int, s_j: int, n_j: int) -> float:
+    """Pr(e_j = e | m_j = r) = C(r,e) B(e+s_j, r-e+n_j-s_j) / B(s_j, n_j-s_j);
+    1 for the empty window r = 0."""
+    if s_j <= 0 or s_j >= n_j:
+        raise DegenerateRungError(
+            f"Beta(s_j, n_j - s_j) undefined for s_j={s_j}, n_j={n_j}"
+        )
+    if not (0 <= e <= r):
+        raise ValueError(f"need 0 <= e <= r, got e={e}, r={r}")
+    if r == 0:
+        return 1.0
+    return betabinom_pmf(e, BetaBinomialParams(r, float(s_j), float(n_j - s_j)))
 
 
 @dataclass(frozen=True)

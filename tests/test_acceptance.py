@@ -29,13 +29,13 @@ from ssbc.mondrian import (
     budget_success_prob,
     class_count_predictive,
     error_budget,
-    error_count_conditional,
     ssbc_mondrian,
 )
 from ssbc.serialize import canonical_json
 from ssbc.specfun import BetaBinomialParams, BetaParams, betabinom_pmf_vector, reg_inc_beta
 
 from oracles import (
+    error_count_conditional,
     joint_predictive,
     ols_slope_through_origin,
     ssbc_scan_infinite,

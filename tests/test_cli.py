@@ -12,6 +12,7 @@ from ssbc.serialize import canonical_json
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:
@@ -246,6 +247,19 @@ class TestSimulateCommand:
         assert [m["method"] for m in data["methods"]] == ["dkwm"]
 
 
+class TestGoldenExamples:
+    """The README examples must keep their recorded stdout bytes and exit
+    codes; the recordings are the benchmark's golden files."""
+
+    EXAMPLES = json.loads((GOLDEN / "manifest.json").read_text())["examples"]
+
+    @pytest.mark.parametrize("example", EXAMPLES, ids=[e["file"] for e in EXAMPLES])
+    def test_stdout_and_exit_code(self, capsys, example):
+        code, out, _ = run_cli(capsys, *example["argv"])
+        assert code == example["exit"]
+        assert out.encode() == (GOLDEN / example["file"]).read_bytes()
+
+
 class TestCanonicalJson:
     def test_float_formatting(self):
         assert canonical_json(0.0538760721683502) == "0.0538760721684"
@@ -300,12 +314,12 @@ PUBLIC_API = {
     "CoverageLaw", "CoverageRegime", "DegenerateRungError", "FeasibilityReport", "GridError",
     "METHOD_DKWM", "METHOD_SSBC", "MethodReport", "MondrianSpec", "Rung", "RungTable",
     "SimConfig", "SimReport", "alpha_star_exact_finite", "alpha_star_infinite",
-    "alpha_star_laplace", "beta_survival", "betabinom_pmf", "betabinom_pmf_vector",
-    "betabinom_survival", "budget_success_prob", "class_count_predictive", "coverage_law",
-    "dkwm_adjust", "dkwm_eps", "error_count_conditional", "feasibility_report",
-    "grid_implementable", "log_beta", "miscoverage_count", "order_index", "reg_inc_beta",
-    "rung_table", "run_simulation", "ssbc_adjust", "ssbc_mondrian", "tail_prob",
-    "theory_overlay",
+    "alpha_star_laplace", "beta_survival", "betabinom_cdf", "betabinom_pmf",
+    "betabinom_pmf_vector", "betabinom_survival", "budget_success_prob",
+    "class_count_predictive", "coverage_law", "dkwm_adjust", "dkwm_eps", "feasibility_report",
+    "grid_implementable", "log_beta", "order_index", "reg_inc_beta", "rung_table",
+    "run_simulation", "ssbc_adjust", "ssbc_mondrian", "tail_prob", "theory_overlay",
+    "window_threshold",
 }
 
 

@@ -97,6 +97,11 @@ class TestCoverageLaw:
     def test_rejects_zero_shape(self):
         with pytest.raises(ValueError):
             CoverageLaw(a=0, b=5, regime=CoverageRegime.infinite())
+        # shapes are integers: neither a float nor a bool is one
+        with pytest.raises(ValueError):
+            CoverageLaw(a=2.5, b=True, regime=CoverageRegime.infinite())
+        with pytest.raises(ValueError):
+            CoverageLaw(a=2, b=True, regime=CoverageRegime.infinite())
 
     def test_regime_validation(self):
         with pytest.raises(ValueError):

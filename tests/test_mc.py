@@ -1,16 +1,13 @@
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
 
-from ssbc.coverage import CalibrationContext, CoverageRegime
+from ssbc.coverage import CalibrationContext, CoverageRegime, window_threshold
 from ssbc.adjust import ssbc_adjust
-from ssbc.mc import (
-    SimConfig,
-    run_simulation,
-    theory_overlay,
-    violation_threshold,
-)
+from ssbc.mc import SimConfig, run_simulation, theory_overlay
 from ssbc.serialize import canonical_json
 
 from oracles import bb_survival
@@ -18,9 +15,9 @@ from oracles import bb_survival
 
 class TestViolationThreshold:
     def test_examples(self):
-        assert violation_threshold(0.1, 100) == 90
-        assert violation_threshold(0.1, 95) == 86  # ceil(85.5)
-        assert violation_threshold(1 - 1e-13, 10) == 0
+        assert window_threshold(0.1, 100) == 90
+        assert window_threshold(0.1, 95) == 86  # ceil(85.5)
+        assert window_threshold(1 - 1e-13, 10) == 0
 
 
 class TestTheoryOverlay:
@@ -69,7 +66,7 @@ class TestRunSimulation:
     def test_histogram_accounting(self):
         config = SimConfig(n=25, m=40, alpha_target=0.15, delta=0.2, runs=500, seed=3)
         report = run_simulation(config)
-        x_star = violation_threshold(config.alpha_target, config.m)
+        x_star = window_threshold(config.alpha_target, config.m)
         for method in report.methods:
             assert sum(method.coverage_histogram) == config.runs
             assert method.violations == sum(method.coverage_histogram[:x_star])
@@ -122,6 +119,10 @@ class TestRunSimulation:
             SimConfig(n=5, m=5, alpha_target=0.1, delta=0.1, runs=10, seed=1, methods=("none", "none"))
         with pytest.raises(ValueError):
             SimConfig(n=5, m=5, alpha_target=0.1, delta=0.1, runs=True, seed=1)
+        with pytest.raises(ValueError):
+            SimConfig(n=5, m=5, alpha_target=0.1, delta=0.1, runs=10, seed=True)
+        with pytest.raises(ValueError):
+            SimConfig(n=5, m=5, alpha_target=0.1, delta=0.1, runs=10, seed=2**64)
 
     def test_seed_echo_and_metadata(self):
         config = SimConfig(n=10, m=10, alpha_target=0.3, delta=0.3, runs=50, seed=424242)
@@ -130,11 +131,52 @@ class TestRunSimulation:
         assert report.runs_completed == 50
         assert report.score_model == "abs_cauchy"
 
-    def test_worker_env_override(self, monkeypatch):
+    def test_workers_must_be_a_positive_integer(self):
+        config = SimConfig(n=10, m=10, alpha_target=0.3, delta=0.3, runs=60, seed=8)
+        for workers in (0, -1, True, 2.0):
+            with pytest.raises(ValueError):
+                run_simulation(config, workers=workers)
+
+    def test_pool_is_bounded_by_cpu_count_and_chunks(self, monkeypatch):
+        # the executor is replaced by one that records its size and runs each
+        # range inline, so no process is ever started
+        requested, submitted = [], []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, config, ks, lo, hi):
+                submitted.append((lo, hi))
+                future = concurrent.futures.Future()
+                future.set_result(fn(config, ks, lo, hi))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         config = SimConfig(n=10, m=10, alpha_target=0.3, delta=0.3, runs=60, seed=8)
         baseline = run_simulation(config, workers=1)
-        monkeypatch.setenv("SSBC_SIM_WORKERS", "2")
-        assert run_simulation(config) == baseline
-        monkeypatch.setenv("SSBC_SIM_WORKERS", "0")
-        with pytest.raises(ValueError):
-            run_simulation(config)
+        cases = [
+            # (cpu_count, workers, pool size, ranges submitted)
+            (2, 3, 2, [(0, 20), (20, 40), (40, 60)]),
+            (2, 10_000, 2, [(r, r + 1) for r in range(60)]),
+            (16, 4, 4, [(0, 15), (15, 30), (30, 45), (45, 60)]),
+            (None, 2, 1, [(0, 30), (30, 60)]),
+        ]
+        for cpus, workers, pool_size, ranges in cases:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            requested.clear()
+            submitted.clear()
+            assert run_simulation(config, workers=workers) == baseline
+            assert requested == [pool_size]
+            assert submitted == ranges
+        few_runs = SimConfig(n=10, m=10, alpha_target=0.3, delta=0.3, runs=3, seed=8)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        requested.clear()
+        run_simulation(few_runs, workers=8)
+        assert requested == [3]

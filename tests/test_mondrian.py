@@ -13,12 +13,10 @@ from ssbc.mondrian import (
     budget_success_prob,
     class_count_predictive,
     error_budget,
-    error_count_conditional,
-    miscoverage_count,
     ssbc_mondrian,
 )
 
-from oracles import bb_pmf, joint_predictive
+from oracles import bb_pmf, error_count_conditional, joint_predictive, miscoverage_count
 
 
 def _p_good_brute_force(spec: MondrianSpec, s_j: int) -> float:

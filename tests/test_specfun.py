@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from ssbc.specfun import (
     BetaBinomialParams,
     BetaParams,
     beta_survival,
+    betabinom_cdf,
     betabinom_pmf,
     betabinom_pmf_vector,
     betabinom_survival,
@@ -113,6 +115,24 @@ class TestBetaSurvival:
         assert got == pytest.approx(expected, abs=1e-13)
 
 
+class TestBetaSurvivalAgainstScipy:
+    @pytest.mark.parametrize("n", [100, 1_000, 10_000])
+    def test_error_within_contract(self, n):
+        # the module's contract: absolute error below 2e-15 (a + b); sample
+        # rungs u and points t within 4 sd of the law's mean, where the tail
+        # is neither 0 nor 1
+        special = pytest.importorskip("scipy.special")
+        rng = random.Random(n)
+        for _ in range(200):
+            u = rng.randint(1, n)
+            a, b = n + 1 - u, u
+            mean = a / (a + b)
+            sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+            t = min(max(mean + rng.uniform(-4, 4) * sd, 1e-9), 1 - 1e-9)
+            got = beta_survival(t, BetaParams(float(a), float(b)))
+            assert abs(got - float(special.betaincc(a, b, t))) <= 2e-15 * (a + b), (a, b, t)
+
+
 class TestBetaBinomial:
     def test_uniform_mixture(self):
         p = BetaBinomialParams(10, 1, 1)
@@ -171,6 +191,18 @@ class TestBetaBinomialSurvival:
                 assert betabinom_survival(x, p) == pytest.approx(
                     float(bb_survival(x, m, a, b)), abs=1e-10
                 )
+
+    def test_cdf_against_exact_rationals(self):
+        for (m, a, b) in [(20, 6, 3), (41, 18, 25), (100, 50, 1)]:
+            p = BetaBinomialParams(m, a, b)
+            for x in range(m + 1):
+                assert betabinom_cdf(x, p) == pytest.approx(
+                    float(1 - bb_survival(x + 1, m, a, b)), abs=1e-10
+                )
+        p = BetaBinomialParams(10, 2, 3)
+        for x in (-1, 11, True, 2.0):
+            with pytest.raises(ValueError):
+                betabinom_cdf(x, p)
 
     @given(st.integers(1, 50), st.floats(0.2, 200.0), st.floats(0.2, 200.0))
     @settings(max_examples=100)
