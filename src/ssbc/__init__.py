@@ -20,10 +20,7 @@ from .adjust import (
 )
 from .coverage import (
     CalibrationContext,
-    CoverageLaw,
     CoverageRegime,
-    GridError,
-    coverage_law,
     order_index,
     tail_prob,
     window_threshold,
@@ -65,11 +62,9 @@ __all__ = [
     "BetaBinomialParams",
     "BetaParams",
     "CalibrationContext",
-    "CoverageLaw",
     "CoverageRegime",
     "DegenerateRungError",
     "FeasibilityReport",
-    "GridError",
     "METHOD_DKWM",
     "METHOD_SSBC",
     "MethodReport",
@@ -88,7 +83,6 @@ __all__ = [
     "betabinom_survival",
     "budget_success_prob",
     "class_count_predictive",
-    "coverage_law",
     "dkwm_adjust",
     "dkwm_eps",
     "feasibility_report",

@@ -11,15 +11,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .coverage import (
-    CalibrationContext,
-    CoverageLaw,
-    CoverageRegime,
-    coverage_law,
-    order_index,
-    snapped_ceil,
-    tail_prob,
-)
+from .coverage import CalibrationContext, CoverageRegime, order_index, snapped_ceil, tail_prob
 
 METHOD_SSBC = "ssbc"
 METHOD_DKWM = "dkwm"
@@ -158,7 +150,7 @@ def ssbc_adjust(ctx: CalibrationContext, regime: CoverageRegime) -> AdjustmentRe
     """
     n = ctx.n
     found = search_grid(
-        lambda u: tail_prob(coverage_law(u / (n + 1), n, regime), ctx.alpha_target),
+        lambda u: tail_prob(n, u, regime, ctx.alpha_target),
         highest_grid_index_below(ctx.alpha_target, n),
         1.0 - ctx.delta,
     )
@@ -198,7 +190,7 @@ def dkwm_adjust(ctx: CalibrationContext) -> AdjustmentReport:
         # everything-set: coverage is identically 1
         tail = 1.0
     else:
-        tail = tail_prob(CoverageLaw(k, n + 1 - k, regime), ctx.alpha_target)
+        tail = tail_prob(n, n + 1 - k, regime, ctx.alpha_target)
     return AdjustmentReport(
         feasible=True,
         method=METHOD_DKWM,

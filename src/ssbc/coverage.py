@@ -2,9 +2,10 @@
 
 With n calibration points and a level alpha on the grid {u/(n+1)}, the
 infinite-test coverage follows Beta(n+1-u, u); over a finite window of m
-test points the covered count follows Beta-Binomial(m; n+1-u, u).  This
-module owns the grid arithmetic, including the float snapping that keeps
-ceil/floor honest at exact grid points.
+test points the covered count follows Beta-Binomial(m; n+1-u, u).  The
+integer rung u is what the searches pass to :func:`tail_prob`; this module
+also owns the float snapping that keeps ceil/floor honest at exact grid
+points.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ FINITE_WINDOW = "window"
 # treated as the exact integer it is, before applying ceil/floor.  Must be
 # far above double rounding noise (~1e-16 * scale) and far below 1.
 _SNAP_TOL = 1e-9
-
-
-class GridError(ValueError):
-    """Raised when a level is not a grid point u/(n+1) with 1 <= u <= n."""
 
 
 def check_unit(name: str, value: float) -> None:
@@ -95,21 +92,6 @@ class CalibrationContext:
         check_unit("delta", self.delta)
 
 
-@dataclass(frozen=True)
-class CoverageLaw:
-    """Coverage distribution: Beta(a, b), or its Beta-Binomial analogue
-    over a finite window.  Shapes satisfy a + b = n + 1 for the generating
-    calibration size."""
-
-    a: int
-    b: int
-    regime: CoverageRegime
-
-    def __post_init__(self) -> None:
-        check_int("coverage law shape a", self.a)
-        check_int("coverage law shape b", self.b)
-
-
 def order_index(alpha: float, n: int) -> int:
     """The order-statistic index k = ceil((1-alpha)(n+1)), in 1..n+1.
 
@@ -121,24 +103,6 @@ def order_index(alpha: float, n: int) -> int:
     return max(1, min(n + 1, k))
 
 
-def grid_index(alpha_prime: float, n: int) -> int:
-    """Recover u from a grid level alpha_prime = u/(n+1), or raise GridError."""
-    check_int("n", n)
-    u = round(alpha_prime * (n + 1))
-    if u < 1 or u > n or alpha_prime != u / (n + 1):
-        raise GridError(
-            f"alpha_prime={alpha_prime!r} is not a grid level u/(n+1) with 1 <= u <= {n}"
-        )
-    return u
-
-
-def coverage_law(alpha_prime: float, n: int, regime: CoverageRegime) -> CoverageLaw:
-    """Coverage law at the grid level alpha_prime = u/(n+1): shapes
-    (a, b) = (n+1-u, u) under the given regime."""
-    u = grid_index(alpha_prime, n)
-    return CoverageLaw(a=n + 1 - u, b=u, regime=regime)
-
-
 def window_threshold(alpha_target: float, m: int) -> int:
     """Smallest covered count of a window of size m that meets the target:
     x* = ceil((1-alpha_target) m), snapped and clipped to 0..m+1.  A window
@@ -147,16 +111,19 @@ def window_threshold(alpha_target: float, m: int) -> int:
     return max(0, min(m + 1, x_star))
 
 
-def tail_prob(law: CoverageLaw, alpha_target: float) -> float:
-    """Pr(coverage >= 1 - alpha_target) under the law.
+def tail_prob(n: int, u: int, regime: CoverageRegime, alpha_target: float) -> float:
+    """Pr(coverage >= 1 - alpha_target) at rung u, the grid level u/(n+1).
 
-    Infinite test: Pr(Z >= 1-alpha_target), Z ~ Beta(a, b).  Finite window
-    of size m: Pr(X >= x*), X ~ Beta-Binomial(m; a, b), with x* the
-    :func:`window_threshold`; equality at the threshold counts as success.
+    Infinite test: Pr(Z >= 1-alpha_target), Z ~ Beta(n+1-u, u).  Finite
+    window of size m: Pr(X >= x*), X ~ Beta-Binomial(m; n+1-u, u), with x*
+    the :func:`window_threshold`; equality at the threshold counts as
+    success.  Raises ValueError unless 1 <= u <= n.
     """
+    check_int("calibration size n", n)
+    check_int("rung u", u, 1, n)
     check_unit("alpha_target", alpha_target)
-    if not law.regime.is_window:
-        return beta_survival(1.0 - alpha_target, BetaParams(float(law.a), float(law.b)))
-    m = law.regime.m
-    params = BetaBinomialParams(m, float(law.a), float(law.b))
-    return betabinom_survival(window_threshold(alpha_target, m), params)
+    a, b = float(n + 1 - u), float(u)
+    if not regime.is_window:
+        return beta_survival(1.0 - alpha_target, BetaParams(a, b))
+    m = regime.m
+    return betabinom_survival(window_threshold(alpha_target, m), BetaBinomialParams(m, a, b))

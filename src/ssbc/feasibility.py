@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coverage import CoverageRegime, check_int, check_unit, coverage_law, tail_prob
-from .specfun import BetaBinomialParams, betabinom_pmf_vector
+from .coverage import CoverageRegime, check_int, check_unit, tail_prob
 
 
 @dataclass(frozen=True)
@@ -121,19 +120,19 @@ def alpha_star_exact_finite(n: int, delta: float, m: int) -> float:
     Finds the largest integer x* with Pr(X >= x*) >= 1 - delta for
     X ~ Beta-Binomial(m; n, 1) and reports alpha* = 1 - x*/m, the left edge
     of the passing step (the tail is a step function of alpha, so this is
-    exact, quantized to the 1/m lattice).
+    exact, quantized to the 1/m lattice).  With x* = m - c the condition
+    reads Pr(X <= m-c-1) <= delta, and for this law
+    Pr(X <= m-c-1) = prod_{i=0..c} (m-i)/(n+m-i), so the smallest passing c
+    comes from a running product, without the pmf.
     """
     _validate(n, delta)
     check_int("m", m)
-    pmf = betabinom_pmf_vector(BetaBinomialParams(m, float(n), 1.0))
-    threshold = 1.0 - delta
-    survival = 0.0
-    # survival(x) accumulated from the top; the first x (largest) that
-    # passes is the answer.  x = 0 always passes since survival(0) = 1.
-    for x in range(m, 0, -1):
-        survival += pmf[x]
-        if survival >= threshold:
-            return 1.0 - x / m
+    lower_tail = 1.0
+    # c = m (x* = 0) always passes, since Pr(X <= -1) = 0.
+    for c in range(m):
+        lower_tail *= (m - c) / (n + m - c)
+        if lower_tail <= delta:
+            return 1.0 - (m - c) / m
     return 1.0
 
 
@@ -141,12 +140,11 @@ def rung_table(n: int, alpha_target: float, regime: CoverageRegime) -> RungTable
     """Attainable delta at every rung u = 1..n for the given target."""
     check_int("n", n)
     check_unit("alpha_target", alpha_target)
-    rungs = []
-    for u in range(1, n + 1):
-        alpha_prime = u / (n + 1)
-        tail = tail_prob(coverage_law(alpha_prime, n, regime), alpha_target)
-        rungs.append(Rung(u=u, alpha_prime=alpha_prime, attainable_delta=1.0 - tail))
-    return RungTable(n=n, alpha_target=alpha_target, regime=regime, rungs=tuple(rungs))
+    rungs = tuple(
+        Rung(u, u / (n + 1), attainable_delta=1.0 - tail_prob(n, u, regime, alpha_target))
+        for u in range(1, n + 1)
+    )
+    return RungTable(n=n, alpha_target=alpha_target, regime=regime, rungs=rungs)
 
 
 def feasibility_report(n: int, delta: float, m: int | None = None) -> FeasibilityReport:

@@ -104,12 +104,6 @@ class SimReport:
     seed_echo: int
     methods: tuple[MethodReport, ...]
 
-    def method_report(self, name: str) -> MethodReport:
-        for report in self.methods:
-            if report.method == name:
-                return report
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,

@@ -19,14 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .adjust import AdjustmentReport, grid_report, highest_grid_index_below, search_grid
-from .coverage import (
-    CalibrationContext,
-    CoverageRegime,
-    check_int,
-    check_unit,
-    grid_index,
-    snapped_floor,
-)
+from .coverage import CalibrationContext, CoverageRegime, check_int, check_unit, snapped_floor
 from .specfun import BetaBinomialParams, betabinom_cdf, betabinom_pmf_vector
 
 
@@ -79,27 +72,28 @@ def error_budget(alpha: float, r: int) -> int:
     return snapped_floor(alpha * r, scale=max(1, r))
 
 
-def budget_success_prob(spec: MondrianSpec, alpha_prime: float) -> float:
-    """Probability that a window stays within the target error budget:
-    sum_r Pr(m_j = r) Pr(e_j <= floor(alpha_target r) | m_j = r).
+def budget_success_prob(spec: MondrianSpec, u: int) -> float:
+    """Probability that a window stays within the target error budget at
+    rung u, the grid level u/(n_j+1):
+    sum_r Pr(m_j = r) Pr(e_j <= floor(alpha_target r) | m_j = r),
+    with e_j | m_j = r ~ Beta-Binomial(r; u, n_j - u).
 
     The cap uses the spec's target level while the error law uses the
-    miscoverage count of the candidate rung alpha_prime = u/(n_j+1), which
-    on the grid is s_j = u; u = n_j is degenerate.  The coupling of
-    e_j and m_j is kept: each window's cap is evaluated under the
-    conditional law for its own count, never under the marginal of e_j.
+    miscoverage count of the rung, which on the grid is s_j = u.  Raises
+    ValueError unless 1 <= u <= n_j, and DegenerateRungError at u = n_j.
+    The coupling of e_j and m_j is kept: each window's cap is evaluated
+    under the conditional law for its own count, never under the marginal
+    of e_j.
     """
-    s_j = grid_index(alpha_prime, spec.n_j)
-    if s_j == spec.n_j:
-        raise DegenerateRungError(
-            f"Beta(s_j, n_j - s_j) undefined for s_j={s_j}, n_j={spec.n_j}"
-        )
+    check_int("rung u", u, 1, spec.n_j)
+    if u == spec.n_j:
+        raise DegenerateRungError(f"Beta(s_j, n_j - s_j) undefined for s_j={u}, n_j={spec.n_j}")
     count_pmf = class_count_predictive(spec)
     terms = [count_pmf[0]]  # an empty window always meets its budget
     for r in range(1, spec.m + 1):
         if count_pmf[r] > 0.0:
             cap = min(error_budget(spec.alpha_target, r), r)
-            law = BetaBinomialParams(r, float(s_j), float(spec.n_j - s_j))
+            law = BetaBinomialParams(r, float(u), float(spec.n_j - u))
             terms.append(count_pmf[r] * betabinom_cdf(cap, law))
     return min(1.0, math.fsum(terms))
 
@@ -116,9 +110,7 @@ def ssbc_mondrian(spec: MondrianSpec) -> AdjustmentReport:
     n_j = spec.n_j
     highest = highest_grid_index_below(spec.alpha_target, n_j)
     found = search_grid(
-        lambda u: budget_success_prob(spec, u / (n_j + 1)),
-        min(highest, n_j - 1),
-        1.0 - spec.delta,
+        lambda u: budget_success_prob(spec, u), min(highest, n_j - 1), 1.0 - spec.delta
     )
     note = "no grid level below alpha_target meets the budget constraint"
     if highest == n_j == 1:

@@ -3,11 +3,12 @@
 The laws and scans use exact rational arithmetic only (``math.comb`` /
 ``math.factorial`` / ``Fraction``); they never touch the package's
 log-space evaluation paths, so agreement is a genuine two-route check.
-The last part holds references that only tests need: an exhaustive rung
-scan to check the bisecting grid search against, and the joint predictive
-law of the class-conditional budget, assembled pair by pair from the
-package's count law and its Beta-Binomial pmf (the package itself sums one
-error-count CDF per window count).
+The last part holds helpers and references that only tests need: a
+per-method lookup in a simulation report, an exhaustive rung scan to check
+the bisecting grid search against, and the joint predictive law of the
+class-conditional budget, assembled pair by pair from the package's count
+law and its Beta-Binomial pmf (the package itself sums one error-count CDF
+per window count).
 """
 
 from __future__ import annotations
@@ -61,6 +62,33 @@ def bb_pmf(r: int, m: int, a: int, b: int) -> Fraction:
 def bb_survival(x_star: int, m: int, a: int, b: int) -> Fraction:
     """Pr(X >= x_star) for X ~ Beta-Binomial(m; a, b), integer shapes."""
     return sum((bb_pmf(r, m, a, b) for r in range(max(0, x_star), m + 1)), Fraction(0))
+
+
+def bb_window_tail(x_star: int, m: int, n: int, u: int) -> Fraction:
+    """Pr(X >= x_star) for X ~ Beta-Binomial(m; n+1-u, u), the window tail
+    at rung u, through the hypergeometric identity
+
+        Pr(X >= x*) = Pr(Hypergeom(N=n+m, K=n, draws=u+c) >= u),  c = m - x*.
+
+    At most c of the m test scores exceed the (n+1-u)-th calibration score
+    exactly when the top u+c of all n+m scores hold at least u calibration
+    scores.  One integer sum and one division, so it reaches n and m in
+    the thousands, where the pmf-by-pmf Fraction sum does not.
+    """
+    if x_star <= 0:
+        return Fraction(1)
+    if x_star > m:
+        return Fraction(0)
+    draws = u + m - x_star
+    # hits = sum over i of C(n, i) C(m, draws - i); each factor steps to its
+    # next value by one exact small-integer multiply and divide
+    hits = 0
+    c_n, c_m = comb(n, u), comb(m, draws - u)
+    for i in range(u, min(n, draws) + 1):
+        hits += c_n * c_m
+        c_n = c_n * (n - i) // (i + 1)
+        c_m = c_m * (draws - i) // (m - draws + i + 1)
+    return Fraction(hits, comb(n + m, draws))
 
 
 def log_beta_int(a: int, b: int) -> float:
@@ -122,6 +150,14 @@ def total_variation(counts, pmf) -> float:
     """TV distance between a histogram (counts) and a pmf on the same grid."""
     total = sum(counts)
     return 0.5 * math.fsum(abs(c / total - p) for c, p in zip(counts, pmf))
+
+
+def method_report(report, name: str):
+    """The MethodReport of one method in a SimReport."""
+    for method in report.methods:
+        if method.method == name:
+            return method
+    raise KeyError(name)
 
 
 def full_scan(tail_fn, u_hi: int, threshold):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from ssbc.adjust import dkwm_adjust, highest_grid_index_below, ssbc_adjust
-from ssbc.coverage import CalibrationContext, CoverageRegime, coverage_law, tail_prob
+from ssbc.coverage import CalibrationContext, CoverageRegime, tail_prob
 from ssbc.feasibility import (
     alpha_star_exact_finite,
     alpha_star_infinite,
@@ -37,6 +37,7 @@ from ssbc.specfun import BetaBinomialParams, BetaParams, betabinom_pmf_vector, r
 from oracles import (
     error_count_conditional,
     joint_predictive,
+    method_report,
     ols_slope_through_origin,
     ssbc_scan_infinite,
     total_variation,
@@ -117,9 +118,9 @@ def test_criterion_1_reference_violation_values():
 def test_criterion_2_monte_carlo_full_scale(sim_n50, sim_n100):
     report50, elapsed50 = sim_n50
     report100, elapsed100 = sim_n100
-    none50 = report50.method_report("none").empirical_violation_rate
-    ssbc50 = report50.method_report("ssbc").empirical_violation_rate
-    ssbc100 = report100.method_report("ssbc").empirical_violation_rate
+    none50 = method_report(report50, "none").empirical_violation_rate
+    ssbc50 = method_report(report50, "ssbc").empirical_violation_rate
+    ssbc100 = method_report(report100, "ssbc").empirical_violation_rate
     checks = [
         0.384 <= none50 <= 0.417,
         abs(ssbc50 - 0.047) <= 0.004,
@@ -144,8 +145,8 @@ def test_criterion_2_smoke_version_under_a_minute():
         )
         report = run_simulation(config, workers=_workers())
         rates[n] = (
-            report.method_report("none").empirical_violation_rate,
-            report.method_report("ssbc").empirical_violation_rate,
+            method_report(report, "none").empirical_violation_rate,
+            method_report(report, "ssbc").empirical_violation_rate,
         )
     elapsed = time.perf_counter() - start
     checks = [
@@ -310,7 +311,7 @@ def test_criterion_7_mondrian_sweep():
         report = ssbc_mondrian(spec)
         if report.feasible:
             feasible_count += 1
-            if budget_success_prob(spec, report.alpha_adj) < 1 - spec.delta:
+            if budget_success_prob(spec, report.u_star) < 1 - spec.delta:
                 reverify_failures += 1
     check_mass = worst_mass <= 1e-9
 
@@ -329,7 +330,7 @@ def test_criterion_7_mondrian_sweep():
     # documented spec where ignoring the (e, count) coupling misprices the
     # window success probability by more than 1e-3
     spec = MondrianSpec(k=40, k_j=12, n_j=30, m=12, alpha_target=0.2, delta=0.15)
-    coupled = budget_success_prob(spec, 3 / 31)
+    coupled = budget_success_prob(spec, 3)
     count_law = class_count_predictive(spec)
     marginal_e = np.zeros(spec.m + 1)
     for r in range(spec.m + 1):
@@ -371,7 +372,7 @@ def test_criterion_8_adjuster_property_sweep():
                 failures["maximality"] += 1
             next_u = report.u_star + 1
             if next_u <= u_max:
-                tail_up = tail_prob(coverage_law(next_u / (n + 1), n, regime), alpha_target)
+                tail_up = tail_prob(n, next_u, regime, alpha_target)
                 if tail_up >= 1 - delta:
                     failures["maximality"] += 1
 
@@ -387,7 +388,7 @@ def test_criterion_8_adjuster_property_sweep():
         if u_max == 0:
             first_rung_ok = False
         else:
-            tail_first = tail_prob(coverage_law(1 / (n + 1), n, regime), alpha_target)
+            tail_first = tail_prob(n, 1, regime, alpha_target)
             first_rung_ok = tail_first >= 1 - delta
         if report.feasible != first_rung_ok:
             failures["infeasible_iff"] += 1

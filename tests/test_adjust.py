@@ -10,7 +10,7 @@ from ssbc.adjust import (
     search_grid,
     ssbc_adjust,
 )
-from ssbc.coverage import CalibrationContext, CoverageRegime, coverage_law, tail_prob
+from ssbc.coverage import CalibrationContext, CoverageRegime, tail_prob
 from ssbc.mondrian import DegenerateRungError, MondrianSpec, budget_success_prob, ssbc_mondrian
 
 from oracles import full_scan, ssbc_scan_infinite
@@ -113,7 +113,7 @@ class TestSsbcAdjust:
                 else CoverageRegime.infinite()
             )
             best = full_scan(
-                lambda u: tail_prob(coverage_law(u / (n + 1), n, regime), ctx.alpha_target),
+                lambda u: tail_prob(n, u, regime, ctx.alpha_target),
                 highest_grid_index_below(ctx.alpha_target, n),
                 1.0 - ctx.delta,
             )
@@ -145,7 +145,7 @@ class TestSsbcAdjust:
 
             def p_good(u):
                 try:
-                    return budget_success_prob(spec, u / (spec.n_j + 1))
+                    return budget_success_prob(spec, u)
                 except DegenerateRungError:
                     skipped.append(u)
                     return -math.inf
@@ -169,11 +169,11 @@ class TestSsbcAdjust:
                 continue
             assert report.alpha_adj < ctx.alpha_target
             assert report.alpha_adj == report.u_star / (n + 1)
-            tail = tail_prob(coverage_law(report.alpha_adj, n, regime), ctx.alpha_target)
+            tail = tail_prob(n, report.u_star, regime, ctx.alpha_target)
             assert tail >= 1 - ctx.delta
             next_u = report.u_star + 1
             if next_u <= highest_grid_index_below(ctx.alpha_target, n):
-                worse = tail_prob(coverage_law(next_u / (n + 1), n, regime), ctx.alpha_target)
+                worse = tail_prob(n, next_u, regime, ctx.alpha_target)
                 assert worse < 1 - ctx.delta
 
     def test_monotone_in_delta(self):

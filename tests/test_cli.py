@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,7 +14,8 @@ from ssbc.serialize import canonical_json
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN = PERFBENCH / "golden"
 
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:
@@ -122,6 +125,32 @@ class TestAdjustCommand:
         )
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_overflow_is_an_error_not_a_traceback(self):
+        # Inputs beyond the range of a double overflow inside the float
+        # kernels; each call must still end with a message and exit 1.
+        proc = run_fresh("""
+            import contextlib, io, sys
+            from ssbc.cli import main
+            big, window, n20 = str(10**400), str(10**31), str(10**20)
+            argvs = [
+                ["adjust", "--n", big, "--alpha", "0.1", "--delta", "0.1", "--regime", "inf"],
+                ["feasible", "--n", big, "--delta", "0.1"],
+                ["mondrian", "--k", big, "--kj", "5", "--nj", "20", "--m", "10",
+                 "--alpha", "0.1", "--delta", "0.1"],
+                ["adjust", "--n", "50", "--alpha", "0.1", "--delta", "0.1",
+                 "--regime", "window", "--m", window],
+                ["adjust", "--n", n20, "--alpha", "0.1", "--delta", "0.1", "--regime", "inf"],
+            ]
+            for argv in argvs:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code == 1, (argv[:2], code)
+                assert err.getvalue().startswith("error: "), (argv[:2], err.getvalue())
+        """)
+        assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_json_round_trip_is_byte_stable(self, capsys):
@@ -260,6 +289,22 @@ class TestGoldenExamples:
         assert out.encode() == (GOLDEN / example["file"]).read_bytes()
 
 
+class TestBenchmarkHooks:
+    """The benchmark's tracer wraps library functions by (module, name); a
+    renamed or removed target would stop a traced run, so every target must
+    resolve.  Reads perfbench/tracer.py and writes nothing under perfbench/."""
+
+    def test_tracer_targets_resolve(self):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracer", PERFBENCH / "tracer.py"
+        )
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer.TARGETS
+        for module, name in tracer.TARGETS:
+            assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+
+
 class TestCanonicalJson:
     def test_float_formatting(self):
         assert canonical_json(0.0538760721683502) == "0.0538760721684"
@@ -311,12 +356,12 @@ MC_NAMES = ("MethodReport", "SimConfig", "SimReport", "run_simulation", "theory_
 
 PUBLIC_API = {
     "AdjustmentReport", "BetaBinomialParams", "BetaParams", "CalibrationContext",
-    "CoverageLaw", "CoverageRegime", "DegenerateRungError", "FeasibilityReport", "GridError",
+    "CoverageRegime", "DegenerateRungError", "FeasibilityReport",
     "METHOD_DKWM", "METHOD_SSBC", "MethodReport", "MondrianSpec", "Rung", "RungTable",
     "SimConfig", "SimReport", "alpha_star_exact_finite", "alpha_star_infinite",
     "alpha_star_laplace", "beta_survival", "betabinom_cdf", "betabinom_pmf",
     "betabinom_pmf_vector", "betabinom_survival", "budget_success_prob",
-    "class_count_predictive", "coverage_law", "dkwm_adjust", "dkwm_eps", "feasibility_report",
+    "class_count_predictive", "dkwm_adjust", "dkwm_eps", "feasibility_report",
     "grid_implementable", "log_beta", "order_index", "reg_inc_beta", "rung_table",
     "run_simulation", "ssbc_adjust", "ssbc_mondrian", "tail_prob", "theory_overlay",
     "window_threshold",

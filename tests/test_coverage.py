@@ -6,18 +6,16 @@ from hypothesis import strategies as st
 
 from ssbc.coverage import (
     CalibrationContext,
-    CoverageLaw,
     CoverageRegime,
-    GridError,
-    coverage_law,
-    grid_index,
     order_index,
     snapped_ceil,
     snapped_floor,
     tail_prob,
+    window_threshold,
 )
+from ssbc.specfun import BetaBinomialParams, BetaParams, beta_survival, betabinom_survival
 
-from oracles import beta_survival_int, bb_survival
+from oracles import bb_survival, bb_window_tail, beta_survival_int
 
 
 class TestSnapping:
@@ -65,43 +63,45 @@ class TestOrderIndex:
 
 
 class TestCoverageLaw:
+    """tail_prob builds the law at rung u itself: Beta(n+1-u, u), or
+    Beta-Binomial(m; n+1-u, u) over a window of size m."""
+
     def test_examples(self):
-        law = coverage_law(2 / 51, 50, CoverageRegime.infinite())
-        assert (law.a, law.b) == (49, 2)
-        law = coverage_law(9 / 26, 25, CoverageRegime.infinite())
-        assert (law.a, law.b) == (17, 9)
+        regime = CoverageRegime.infinite()
+        for n, u in [(50, 2), (25, 9)]:
+            expected = beta_survival(0.9, BetaParams(float(n + 1 - u), float(u)))
+            assert tail_prob(n, u, regime, 0.1) == expected
 
     def test_first_rung_window(self):
-        law = coverage_law(1 / 8, 7, CoverageRegime.window(4))
-        assert (law.a, law.b) == (7, 1)
-        assert law.regime.m == 4
+        expected = betabinom_survival(4, BetaBinomialParams(4, 7.0, 1.0))
+        assert tail_prob(7, 1, CoverageRegime.window(4), 0.1) == expected
+        assert expected == pytest.approx(7 / 11, abs=1e-12)  # Pr(X = 4) = 7/11
 
     @given(st.integers(1, 400))
     @settings(max_examples=200)
     def test_round_trip_every_rung(self, n):
         for u in (1, max(1, n // 2), n):
-            law = coverage_law(u / (n + 1), n, CoverageRegime.infinite())
-            assert (law.a, law.b) == (n + 1 - u, u)
-            assert law.a + law.b == n + 1
+            expected = beta_survival(0.5, BetaParams(float(n + 1 - u), float(u)))
+            assert tail_prob(n, u, CoverageRegime.infinite(), 0.5) == expected
 
     def test_rejects_off_grid(self):
-        with pytest.raises(GridError):
-            coverage_law(0.1, 50, CoverageRegime.infinite())  # 0.1 * 51 = 5.1
-        with pytest.raises(GridError):
-            coverage_law(0.0, 50, CoverageRegime.infinite())
-        with pytest.raises(GridError):
-            coverage_law(51 / 51, 50, CoverageRegime.infinite())
-        with pytest.raises(GridError):
-            grid_index(2 / 51 + 1e-7, 50)
+        # rungs are the integers 1..n; 0, n+1, floats and bools are not rungs
+        for u in (0, 51, 5.1, 2 / 51, True):
+            with pytest.raises(ValueError):
+                tail_prob(50, u, CoverageRegime.infinite(), 0.1)
+            with pytest.raises(ValueError):
+                tail_prob(50, u, CoverageRegime.window(10), 0.1)
 
     def test_rejects_zero_shape(self):
+        # n = 0 leaves no rung, and shapes come from integers only
         with pytest.raises(ValueError):
-            CoverageLaw(a=0, b=5, regime=CoverageRegime.infinite())
-        # shapes are integers: neither a float nor a bool is one
+            tail_prob(0, 1, CoverageRegime.infinite(), 0.1)
         with pytest.raises(ValueError):
-            CoverageLaw(a=2.5, b=True, regime=CoverageRegime.infinite())
+            tail_prob(50.0, 2, CoverageRegime.infinite(), 0.1)
         with pytest.raises(ValueError):
-            CoverageLaw(a=2, b=True, regime=CoverageRegime.infinite())
+            tail_prob(True, 1, CoverageRegime.infinite(), 0.1)
+        with pytest.raises(ValueError):
+            tail_prob(50, 2, CoverageRegime.infinite(), 0.0)
 
     def test_regime_validation(self):
         with pytest.raises(ValueError):
@@ -116,52 +116,56 @@ class TestCoverageLaw:
 
 class TestTailProb:
     def test_infinite_frozen(self):
-        law = coverage_law(2 / 51, 50, CoverageRegime.infinite())
-        assert tail_prob(law, 0.1) == pytest.approx(0.9662141403075681, abs=1e-12)
+        assert tail_prob(50, 2, CoverageRegime.infinite(), 0.1) == pytest.approx(
+            0.9662141403075681, abs=1e-12
+        )
 
     def test_first_rung_closed_form(self):
         # shapes (n, 1): Pr(Z >= 1-alpha) = 1 - (1-alpha)^n
         for n, alpha in [(50, 0.1), (7, 0.35), (200, 0.02)]:
-            law = coverage_law(1 / (n + 1), n, CoverageRegime.infinite())
-            assert tail_prob(law, alpha) == pytest.approx(1 - (1 - alpha) ** n, rel=1e-11)
+            tail = tail_prob(n, 1, CoverageRegime.infinite(), alpha)
+            assert tail == pytest.approx(1 - (1 - alpha) ** n, rel=1e-11)
 
     def test_uniform_window(self):
-        # BB(m; 1, 1) with threshold at m: single grid point has mass 1/(m+1)
-        law = CoverageLaw(a=1, b=1, regime=CoverageRegime.window(10))
-        assert tail_prob(law, 0.05) == pytest.approx(1 / 11, abs=1e-12)
+        # n = u = 1 gives BB(m; 1, 1); threshold at m: one point of mass 1/(m+1)
+        assert tail_prob(1, 1, CoverageRegime.window(10), 0.05) == pytest.approx(1 / 11, abs=1e-12)
 
     def test_window_matches_exact_oracle(self):
-        law = coverage_law(2 / 51, 50, CoverageRegime.window(100))
         expected = float(bb_survival(90, 100, 49, 2))
-        assert tail_prob(law, 0.1) == pytest.approx(expected, abs=1e-10)
+        assert tail_prob(50, 2, CoverageRegime.window(100), 0.1) == pytest.approx(
+            expected, abs=1e-10
+        )
 
     @given(st.integers(2, 150), st.floats(0.02, 0.98))
     @settings(max_examples=150, deadline=None)
     def test_nonincreasing_in_rung(self, n, alpha_target):
         regime = CoverageRegime.infinite()
-        tails = [
-            tail_prob(coverage_law(u / (n + 1), n, regime), alpha_target)
-            for u in range(1, n + 1)
-        ]
+        tails = [tail_prob(n, u, regime, alpha_target) for u in range(1, n + 1)]
         assert all(hi >= lo - 1e-12 for hi, lo in zip(tails, tails[1:]))
 
     def test_window_converges_to_infinite(self):
-        infinite = tail_prob(coverage_law(2 / 51, 50, CoverageRegime.infinite()), 0.1)
-        windowed = tail_prob(coverage_law(2 / 51, 50, CoverageRegime.window(10_000)), 0.1)
+        infinite = tail_prob(50, 2, CoverageRegime.infinite(), 0.1)
+        windowed = tail_prob(50, 2, CoverageRegime.window(10_000), 0.1)
         assert abs(windowed - infinite) <= 0.02
 
     def test_target_near_one_saturates(self):
-        law = coverage_law(5 / 21, 20, CoverageRegime.infinite())
-        assert tail_prob(law, 1 - 1e-12) == pytest.approx(1.0, abs=1e-9)
-        law_w = coverage_law(5 / 21, 20, CoverageRegime.window(13))
-        assert tail_prob(law_w, 1 - 1e-12) == pytest.approx(1.0, abs=1e-9)
+        for regime in (CoverageRegime.infinite(), CoverageRegime.window(13)):
+            assert tail_prob(20, 5, regime, 1 - 1e-12) == pytest.approx(1.0, abs=1e-9)
+
+    def test_window_tail_at_most_one(self):
+        # the exact tail is within 1e-13 of 1, and the summed side of the
+        # Beta-Binomial rounds to 1.0000000000444
+        tail = tail_prob(1000, 2, CoverageRegime.window(50_000), 0.485888)
+        assert 0.0 <= tail <= 1.0
+        exact = bb_window_tail(window_threshold(0.485888, 50_000), 50_000, 1000, 2)
+        assert abs(tail - exact) <= 1e-12
 
     def test_exact_binomial_identity_sweep(self):
         # infinite-regime tails against the exact binomial-sum oracle
         for n, u, alpha in [(25, 9, 0.5), (50, 3, 0.1), (80, 40, 0.45)]:
-            law = coverage_law(u / (n + 1), n, CoverageRegime.infinite())
             expected = float(beta_survival_int(1 - alpha, n + 1 - u, u))
-            assert tail_prob(law, alpha) == pytest.approx(expected, abs=1e-11)
+            tail = tail_prob(n, u, CoverageRegime.infinite(), alpha)
+            assert tail == pytest.approx(expected, abs=1e-11)
 
 
 class TestCalibrationContext:

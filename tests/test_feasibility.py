@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ssbc.adjust import ssbc_adjust
-from ssbc.coverage import CalibrationContext, CoverageRegime
+from ssbc.coverage import CalibrationContext, CoverageRegime, window_threshold
 from ssbc.feasibility import (
     alpha_star_exact_finite,
     alpha_star_infinite,
@@ -14,7 +14,7 @@ from ssbc.feasibility import (
     rung_table,
 )
 
-from oracles import window_threshold_count
+from oracles import bb_window_tail, window_threshold_count
 
 
 class TestClosedForms:
@@ -63,11 +63,13 @@ class TestExactFinite:
         assert abs(got - 0.0533) <= 1 / 100 + 1e-12
 
     def test_matches_exact_rational_scan(self):
-        for n, delta, m in [(50, 0.1, 100), (25, 0.25, 25), (10, 0.4, 17), (3, 0.5, 7)]:
+        rng = random.Random(2025)
+        cases = [(50, 0.1, 100), (25, 0.25, 25), (10, 0.4, 17), (3, 0.5, 7)] + [
+            (rng.randint(1, 60), rng.uniform(0.01, 0.95), rng.randint(1, 80)) for _ in range(150)
+        ]
+        for n, delta, m in cases:
             best = window_threshold_count(n, delta, m)
-            assert alpha_star_exact_finite(n, delta, m) == pytest.approx(
-                1 - best / m, abs=1e-12
-            )
+            assert alpha_star_exact_finite(n, delta, m) == 1.0 - best / m, (n, delta, m)
 
     def test_high_delta_hits_zero(self):
         # survival(m) = n/(n+m); with n=3, m=7 that is 0.3 >= 1-0.71
@@ -119,6 +121,16 @@ class TestRungTable:
         assert table.rungs[0].attainable_delta == pytest.approx(0.0051537752073201, abs=1e-12)
         assert table.rungs[1].attainable_delta == pytest.approx(0.0337858596924319, abs=1e-12)
         assert table.rungs[2].attainable_delta == pytest.approx(0.1117287562766333, abs=1e-10)
+
+    def test_window_tails_stay_in_unit_interval(self):
+        # rungs 1..3 have exact tails within 1e-13 of 1, where rounding in
+        # the summed side of the Beta-Binomial lands past 1
+        table = rung_table(97, 0.485888, CoverageRegime.window(79))
+        assert all(0.0 <= r.attainable_delta <= 1.0 for r in table.rungs)
+        x_star = window_threshold(0.485888, 79)
+        for rung in table.rungs[:3]:
+            exact = 1 - bb_window_tail(x_star, 79, 97, rung.u)
+            assert abs(rung.attainable_delta - exact) <= 1e-13
 
     def test_window_first_feasible_rung(self):
         table = rung_table(50, 0.1, CoverageRegime.window(100))

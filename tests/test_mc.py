@@ -10,7 +10,7 @@ from ssbc.adjust import ssbc_adjust
 from ssbc.mc import SimConfig, run_simulation, theory_overlay
 from ssbc.serialize import canonical_json
 
-from oracles import bb_survival
+from oracles import bb_survival, method_report
 
 
 class TestViolationThreshold:
@@ -78,7 +78,7 @@ class TestRunSimulation:
             methods=("none",),
         )
         report = run_simulation(config)
-        result = report.method_report("none")
+        result = method_report(report, "none")
         se = math.sqrt(result.theory_violation_rate * (1 - result.theory_violation_rate) / config.runs)
         assert abs(result.empirical_violation_rate - result.theory_violation_rate) <= 3 * se
         assert result.theory_violation_rate == pytest.approx(0.396439547745066, abs=1e-10)
@@ -89,10 +89,10 @@ class TestRunSimulation:
             methods=("none", "ssbc", "dkwm"),
         )
         report = run_simulation(config)
-        assert not report.method_report("none").skipped
-        assert report.method_report("ssbc").skipped
-        assert report.method_report("dkwm").skipped
-        assert report.method_report("ssbc").note
+        assert not method_report(report, "none").skipped
+        assert method_report(report, "ssbc").skipped
+        assert method_report(report, "dkwm").skipped
+        assert method_report(report, "ssbc").note
 
     def test_rank_invariance_across_score_models(self):
         # coverage depends only on ranks, so continuous models must agree
@@ -104,7 +104,7 @@ class TestRunSimulation:
                 n=50, m=100, alpha_target=0.1, delta=0.1, runs=runs, seed=777,
                 score_model=model, methods=("none",),
             )
-            rates[model] = run_simulation(config).method_report("none").empirical_violation_rate
+            rates[model] = method_report(run_simulation(config), "none").empirical_violation_rate
         pooled = (rates["abs_cauchy"] + rates["uniform"]) / 2
         z99 = 2.576
         bound = z99 * math.sqrt(2 * pooled * (1 - pooled) / runs)

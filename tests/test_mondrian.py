@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ssbc.adjust import ssbc_adjust
-from ssbc.coverage import CalibrationContext, CoverageRegime, GridError
+from ssbc.coverage import CalibrationContext, CoverageRegime
 from ssbc.mondrian import (
     DegenerateRungError,
     MondrianSpec,
@@ -156,13 +156,13 @@ class TestErrorBudget:
 class TestBudgetSuccessProb:
     def test_frozen_coupled_value(self):
         spec = MondrianSpec(k=40, k_j=12, n_j=30, m=12, alpha_target=0.2, delta=0.15)
-        assert budget_success_prob(spec, 3 / 31) == pytest.approx(
+        assert budget_success_prob(spec, 3) == pytest.approx(
             0.799659157034133, abs=1e-10
         )
 
     def test_single_column_case(self):
         spec = MondrianSpec(k=100, k_j=100, n_j=50, m=10, alpha_target=0.1, delta=0.1)
-        got = budget_success_prob(spec, 1 / 51)
+        got = budget_success_prob(spec, 1)
         # all windows carry exactly m class items; budget floor(0.1*10) = 1
         expected = float(bb_pmf(0, 10, 1, 49) + bb_pmf(1, 10, 1, 49))
         assert got == pytest.approx(expected, abs=1e-12)
@@ -170,7 +170,7 @@ class TestBudgetSuccessProb:
 
     def test_brute_force_enumeration(self):
         spec = MondrianSpec(k=30, k_j=10, n_j=20, m=10, alpha_target=0.25, delta=0.2)
-        got = budget_success_prob(spec, 3 / 21)
+        got = budget_success_prob(spec, 3)
         assert got == pytest.approx(_p_good_brute_force(spec, 3), abs=1e-9)
 
     def test_nonincreasing_in_rung(self):
@@ -192,7 +192,7 @@ class TestBudgetSuccessProb:
                 )
             )
         for spec in specs:
-            values = [budget_success_prob(spec, u / (spec.n_j + 1)) for u in range(1, spec.n_j)]
+            values = [budget_success_prob(spec, u) for u in range(1, spec.n_j)]
             assert all(hi >= lo - 1e-12 for hi, lo in zip(values, values[1:]))
 
     def test_coupling_matters(self):
@@ -209,19 +209,21 @@ class TestBudgetSuccessProb:
             count_law[r] * math.fsum(marginal_e[: min(error_budget(spec.alpha_target, r), r) + 1])
             for r in range(spec.m + 1)
         )
-        coupled = budget_success_prob(spec, 3 / 31)
+        coupled = budget_success_prob(spec, 3)
         assert miscomputed == pytest.approx(0.777591406683534, abs=1e-9)
         assert abs(coupled - miscomputed) > 1e-3
 
     def test_off_grid_rejected(self):
         spec = MondrianSpec(k=30, k_j=10, n_j=20, m=10, alpha_target=0.25, delta=0.2)
-        with pytest.raises(GridError):
-            budget_success_prob(spec, 0.13)
+        # rungs are the integers 1..n_j; 0, n_j+1, floats and bools are not rungs
+        for u in (0, 21, 0.13, 3 / 21, 3.0, True):
+            with pytest.raises(ValueError):
+                budget_success_prob(spec, u)
 
     def test_degenerate_rung_rejected(self):
         spec = MondrianSpec(k=30, k_j=10, n_j=5, m=10, alpha_target=0.9, delta=0.2)
         with pytest.raises(DegenerateRungError):
-            budget_success_prob(spec, 5 / 6)
+            budget_success_prob(spec, 5)
 
 
 class TestSsbcMondrian:
@@ -270,7 +272,7 @@ class TestSsbcMondrian:
             )
             report = ssbc_mondrian(spec)
             if report.feasible:
-                assert budget_success_prob(spec, report.alpha_adj) >= 1 - spec.delta
+                assert budget_success_prob(spec, report.u_star) >= 1 - spec.delta
 
     def test_all_rungs_degenerate(self):
         spec = MondrianSpec(k=10, k_j=4, n_j=1, m=5, alpha_target=0.9, delta=0.5)
@@ -284,7 +286,7 @@ class TestSsbcMondrian:
         # p_good(u) = Pr(m_j = 0) + Pr(m_j = 1) Pr(e = 0); frozen per rung
         expected = {1: 0.9583333333333333, 2: 0.9166666666666667, 3: 0.875, 4: 0.8333333333333333}
         for u, value in expected.items():
-            assert budget_success_prob(spec, u / 11) == pytest.approx(value, abs=1e-12)
+            assert budget_success_prob(spec, u) == pytest.approx(value, abs=1e-12)
         # rung 2 is the largest with p_good >= 0.9
         report = ssbc_mondrian(spec)
         assert report.feasible

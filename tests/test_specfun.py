@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,14 @@ from ssbc.specfun import (
     reg_inc_beta,
 )
 
-from oracles import beta_survival_int, bb_pmf, bb_survival, log_beta_int, reg_inc_beta_int
+from oracles import (
+    bb_pmf,
+    bb_survival,
+    bb_window_tail,
+    beta_survival_int,
+    log_beta_int,
+    reg_inc_beta_int,
+)
 
 
 class TestLogBeta:
@@ -214,3 +222,21 @@ class TestBetaBinomialSurvival:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             betabinom_survival(12, BetaBinomialParams(10, 1, 1))
+
+
+class TestBetaBinomialTailAgainstHypergeometric:
+    """The module's Beta-Binomial contract, checked against the exact
+    integer hypergeometric route at coverage-law shapes (n+1-u, u)."""
+
+    @pytest.mark.parametrize(
+        "n,m", [(100, 100), (1000, 1000), (2000, 2000), (1000, 10_000), (2000, 20_000), (1000, 100_000)]
+    )
+    def test_error_within_contract(self, n, m):
+        bound = 1e-15 * (n + 1 + m) * math.log(n + 1 + m)
+        for alpha in (0.1, 0.3):
+            x_star = m - round(alpha * m)
+            u_hi = math.ceil(alpha * (n + 1)) - 1
+            for u in (1, u_hi // 2, u_hi * 9 // 10, u_hi):
+                got = betabinom_survival(x_star, BetaBinomialParams(m, n + 1 - u, u))
+                exact = bb_window_tail(x_star, m, n, u)
+                assert abs(Fraction(got) - exact) <= bound, (n, m, alpha, u)
