@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from .coverage import CalibrationContext, CoverageRegime, order_index, snapped_ceil, tail_prob
+from .specfun import Record
 
 METHOD_SSBC = "ssbc"
 METHOD_DKWM = "dkwm"
 
 
-@dataclass(frozen=True)
-class AdjustmentReport:
+class AdjustmentReport(Record):
     """Outcome of a level adjustment.
 
     For feasible reports ``alpha_adj`` is the adjusted miscoverage level and
@@ -29,17 +28,17 @@ class AdjustmentReport:
     their miscoverage-rate law is degenerate.
     """
 
-    feasible: bool
-    method: str
-    context: CalibrationContext
-    regime: CoverageRegime
-    alpha_adj: float | None = None
-    u_star: int | None = None
-    achieved_tail: float | None = None
-    achieved_violation: float | None = None
-    epsilon: float | None = None
-    skipped_rungs: tuple[int, ...] = field(default=())
-    note: str | None = None
+    def __init__(
+        self, feasible: bool, method: str, context: CalibrationContext, regime: CoverageRegime,
+        alpha_adj: float | None = None, u_star: int | None = None,
+        achieved_tail: float | None = None, achieved_violation: float | None = None,
+        epsilon: float | None = None, skipped_rungs: tuple[int, ...] = (), note: str | None = None,
+    ) -> None:
+        vars(self).update(
+            feasible=feasible, method=method, context=context, regime=regime, alpha_adj=alpha_adj,
+            u_star=u_star, achieved_tail=achieved_tail, achieved_violation=achieved_violation,
+            epsilon=epsilon, skipped_rungs=skipped_rungs, note=note
+        )
 
     def to_dict(self) -> dict:
         inputs = {

@@ -4,17 +4,15 @@ Subcommands: adjust, feasible, rungs, mondrian, simulate.  Output is JSON
 by default (stable key order, 12 significant digits), CSV where tabular
 data is natural, or a human rendering of the same JSON.  Exit codes: 0 on
 success, 1 on usage or validation errors, 2 when the request is infeasible.
+Each command imports the modules it runs, and no others.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .adjust import AdjustmentReport, dkwm_adjust, ssbc_adjust
-from .coverage import CalibrationContext, CoverageRegime
-from .feasibility import RungTable, feasibility_report, rung_table
-from .mondrian import MondrianSpec, ssbc_mondrian
 from .serialize import canonical_json, format_float
 
 EXIT_OK = 0
@@ -70,7 +68,9 @@ def _emit(data: dict, fmt: str) -> None:
         print(canonical_json(data))
 
 
-def _regime_from_flags(args) -> CoverageRegime:
+def _regime_from_flags(args):
+    from .coverage import CoverageRegime
+
     if args.regime == "window":
         if args.m is None:
             raise _UsageError("--m is required when --regime window")
@@ -80,7 +80,7 @@ def _regime_from_flags(args) -> CoverageRegime:
     return CoverageRegime.infinite()
 
 
-def _rungs_csv(table: RungTable) -> str:
+def _rungs_csv(table) -> str:
     lines = ["u,alpha_prime,attainable_delta"]
     for rung in table.rungs:
         lines.append(
@@ -105,6 +105,9 @@ def _simulate_csv(config, report) -> str:
 
 
 def _cmd_adjust(args) -> int:
+    from .adjust import dkwm_adjust, ssbc_adjust
+    from .coverage import CalibrationContext
+
     ctx = CalibrationContext(n=args.n, alpha_target=args.alpha, delta=args.delta)
     if args.method == "ssbc":
         report = ssbc_adjust(ctx, _regime_from_flags(args))
@@ -117,12 +120,16 @@ def _cmd_adjust(args) -> int:
 
 
 def _cmd_feasible(args) -> int:
+    from .feasibility import feasibility_report
+
     report = feasibility_report(args.n, args.delta, m=args.m)
     _emit(report.to_dict(), args.format)
     return EXIT_OK
 
 
 def _cmd_rungs(args) -> int:
+    from .feasibility import rung_table
+
     table = rung_table(args.n, args.alpha, _regime_from_flags(args))
     if args.format == "csv":
         print(_rungs_csv(table))
@@ -132,6 +139,8 @@ def _cmd_rungs(args) -> int:
 
 
 def _cmd_mondrian(args) -> int:
+    from .mondrian import MondrianSpec, ssbc_mondrian
+
     spec = MondrianSpec(
         k=args.k,
         k_j=args.kj,
@@ -150,7 +159,6 @@ def _cmd_mondrian(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    # Deferred so that only simulate loads numpy.
     from .mc import SimConfig, run_simulation
 
     config = SimConfig(
@@ -276,7 +284,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        status = args.func(args)
+        # Flushed here so that a reader that closed the pipe is seen below.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader is gone (e.g. `| head`).  Point stdout at devnull so
+        # that the flush at exit does not fail again, and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,9 +11,8 @@ points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .specfun import BetaBinomialParams, BetaParams, beta_survival, betabinom_survival
+from .specfun import BetaBinomialParams, BetaParams, Record, beta_survival, betabinom_survival
 from .specfun import check_int  # re-exported: the package's one integer validator
 
 INFINITE_TEST = "infinite"
@@ -50,19 +49,16 @@ def snapped_floor(value: float, scale: float = 1.0) -> int:
     return _snapped(value, scale, math.floor)
 
 
-@dataclass(frozen=True)
-class CoverageRegime:
+class CoverageRegime(Record):
     """Inference regime: infinite test stream, or a finite window of size m."""
 
-    kind: str
-    m: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (INFINITE_TEST, FINITE_WINDOW):
-            raise ValueError(f"unknown regime kind {self.kind!r}")
-        if self.kind == FINITE_WINDOW:
-            check_int("window size m", self.m)
-        elif self.m is not None:
+    def __init__(self, kind: str, m: int | None = None) -> None:
+        vars(self).update(kind=kind, m=m)
+        if kind not in (INFINITE_TEST, FINITE_WINDOW):
+            raise ValueError(f"unknown regime kind {kind!r}")
+        if kind == FINITE_WINDOW:
+            check_int("window size m", m)
+        elif m is not None:
             raise ValueError("m is only meaningful for the finite-window regime")
 
     @classmethod
@@ -78,18 +74,14 @@ class CoverageRegime:
         return self.kind == FINITE_WINDOW
 
 
-@dataclass(frozen=True)
-class CalibrationContext:
+class CalibrationContext(Record):
     """Calibration size n, target miscoverage level, and risk tolerance."""
 
-    n: int
-    alpha_target: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        check_int("calibration size n", self.n)
-        check_unit("alpha_target", self.alpha_target)
-        check_unit("delta", self.delta)
+    def __init__(self, n: int, alpha_target: float, delta: float) -> None:
+        vars(self).update(n=n, alpha_target=alpha_target, delta=delta)
+        check_int("calibration size n", n)
+        check_unit("alpha_target", alpha_target)
+        check_unit("delta", delta)
 
 
 def order_index(alpha: float, n: int) -> int:

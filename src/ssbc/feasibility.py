@@ -9,27 +9,27 @@ tail constraint at that rung yields the minimal certifiable target level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .coverage import CoverageRegime, check_int, check_unit, tail_prob
+from .specfun import Record
+
+# Most factors alpha_star_exact_finite multiplies before it gives up.
+MAX_PRODUCT_STEPS = 10**7
 
 
-@dataclass(frozen=True)
-class Rung:
-    u: int
-    alpha_prime: float
-    attainable_delta: float
+class Rung(Record):
+    def __init__(self, u: int, alpha_prime: float, attainable_delta: float) -> None:
+        vars(self).update(u=u, alpha_prime=alpha_prime, attainable_delta=attainable_delta)
 
 
-@dataclass(frozen=True)
-class RungTable:
+class RungTable(Record):
     """Per-rung attainable risk: attainable_delta(u) is the smallest delta
     for which the rung u/(n+1) satisfies the tail constraint."""
 
-    n: int
-    alpha_target: float
-    regime: CoverageRegime
-    rungs: tuple[Rung, ...]
+    def __init__(
+        self, n: int, alpha_target: float, regime: CoverageRegime, rungs: tuple[Rung, ...]
+    ) -> None:
+        vars(self).update(n=n, alpha_target=alpha_target, regime=regime, rungs=rungs)
 
     def to_dict(self) -> dict:
         out = {
@@ -46,8 +46,7 @@ class RungTable:
         return out
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(Record):
     """Feasibility thresholds for calibration size n and risk delta.
 
     ``alpha_star_inf`` is the exact infinite-window minimum 1 - delta^(1/n);
@@ -56,14 +55,16 @@ class FeasibilityReport:
     are present when a window size was supplied.
     """
 
-    n: int
-    delta: float
-    alpha_star_inf: float
-    delta_max_grid: float
-    implementable: bool
-    m: int | None = None
-    alpha_star_m: float | None = None
-    alpha_star_m_laplace: float | None = None
+    def __init__(
+        self, n: int, delta: float, alpha_star_inf: float, delta_max_grid: float,
+        implementable: bool, m: int | None = None, alpha_star_m: float | None = None,
+        alpha_star_m_laplace: float | None = None,
+    ) -> None:
+        vars(self).update(
+            n=n, delta=delta, alpha_star_inf=alpha_star_inf, delta_max_grid=delta_max_grid,
+            implementable=implementable, m=m, alpha_star_m=alpha_star_m,
+            alpha_star_m_laplace=alpha_star_m_laplace
+        )
 
     def to_dict(self) -> dict:
         out = {
@@ -123,16 +124,23 @@ def alpha_star_exact_finite(n: int, delta: float, m: int) -> float:
     exact, quantized to the 1/m lattice).  With x* = m - c the condition
     reads Pr(X <= m-c-1) <= delta, and for this law
     Pr(X <= m-c-1) = prod_{i=0..c} (m-i)/(n+m-i), so the smallest passing c
-    comes from a running product, without the pmf.
+    comes from a running product, without the pmf.  It needs about
+    (n+m)(1 - delta^(1/n)) factors, so past MAX_PRODUCT_STEPS factors it
+    stops with a ValueError instead of running without bound.
     """
     _validate(n, delta)
     check_int("m", m)
     lower_tail = 1.0
-    # c = m (x* = 0) always passes, since Pr(X <= -1) = 0.
-    for c in range(m):
+    for c in range(min(m, MAX_PRODUCT_STEPS)):
         lower_tail *= (m - c) / (n + m - c)
         if lower_tail <= delta:
             return 1.0 - (m - c) / m
+    if m > MAX_PRODUCT_STEPS:
+        raise ValueError(
+            f"the exact finite-window threshold needs more than {MAX_PRODUCT_STEPS} steps "
+            f"for n={n}, delta={delta!r}, m={m}"
+        )
+    # c = m (x* = 0) always passes, since Pr(X <= -1) = 0.
     return 1.0
 
 

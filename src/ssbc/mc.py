@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,38 +23,35 @@ from .coverage import (
     order_index,
     window_threshold,
 )
-from .specfun import BetaBinomialParams, betabinom_pmf_vector
+from .specfun import BetaBinomialParams, Record, betabinom_pmf_vector
 
 SCORE_MODELS = ("abs_cauchy", "abs_normal", "uniform")
 METHOD_NAMES = ("none", "ssbc", "dkwm")
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Simulation description; identical configs give identical reports."""
 
-    n: int
-    m: int
-    alpha_target: float
-    delta: float
-    runs: int
-    seed: int
-    score_model: str = "abs_cauchy"
-    methods: tuple[str, ...] = ("none", "ssbc")
-
-    def __post_init__(self) -> None:
-        check_int("n", self.n)
-        check_int("m", self.m)
-        check_unit("alpha_target", self.alpha_target)
-        check_unit("delta", self.delta)
-        check_int("runs", self.runs)
-        check_int("seed", self.seed, 0, 2**64 - 1)
-        if self.score_model not in SCORE_MODELS:
-            raise ValueError(f"score_model must be one of {SCORE_MODELS}, got {self.score_model!r}")
-        if not self.methods:
+    def __init__(
+        self, n: int, m: int, alpha_target: float, delta: float, runs: int, seed: int,
+        score_model: str = "abs_cauchy", methods: tuple[str, ...] = ("none", "ssbc"),
+    ) -> None:
+        vars(self).update(
+            n=n, m=m, alpha_target=alpha_target, delta=delta, runs=runs, seed=seed,
+            score_model=score_model, methods=methods
+        )
+        check_int("n", n)
+        check_int("m", m)
+        check_unit("alpha_target", alpha_target)
+        check_unit("delta", delta)
+        check_int("runs", runs)
+        check_int("seed", seed, 0, 2**64 - 1)
+        if score_model not in SCORE_MODELS:
+            raise ValueError(f"score_model must be one of {SCORE_MODELS}, got {score_model!r}")
+        if not methods:
             raise ValueError("at least one method is required")
         seen = set()
-        for name in self.methods:
+        for name in methods:
             if name not in METHOD_NAMES:
                 raise ValueError(f"unknown method {name!r}; valid: {METHOD_NAMES}")
             if name in seen:
@@ -63,17 +59,19 @@ class SimConfig:
             seen.add(name)
 
 
-@dataclass(frozen=True)
-class MethodReport:
-    method: str
-    skipped: bool
-    alpha_used: float | None = None
-    u_star: int | None = None
-    empirical_violation_rate: float | None = None
-    theory_violation_rate: float | None = None
-    violations: int | None = None
-    coverage_histogram: tuple[int, ...] | None = None
-    note: str | None = None
+class MethodReport(Record):
+    def __init__(
+        self, method: str, skipped: bool, alpha_used: float | None = None,
+        u_star: int | None = None, empirical_violation_rate: float | None = None,
+        theory_violation_rate: float | None = None, violations: int | None = None,
+        coverage_histogram: tuple[int, ...] | None = None, note: str | None = None,
+    ) -> None:
+        vars(self).update(
+            method=method, skipped=skipped, alpha_used=alpha_used, u_star=u_star,
+            empirical_violation_rate=empirical_violation_rate,
+            theory_violation_rate=theory_violation_rate, violations=violations,
+            coverage_histogram=coverage_histogram, note=note
+        )
 
     def to_dict(self) -> dict:
         out = {"method": self.method, "skipped": self.skipped}
@@ -93,16 +91,15 @@ class MethodReport:
         return out
 
 
-@dataclass(frozen=True)
-class SimReport:
-    n: int
-    m: int
-    alpha_target: float
-    delta: float
-    score_model: str
-    runs_completed: int
-    seed_echo: int
-    methods: tuple[MethodReport, ...]
+class SimReport(Record):
+    def __init__(
+        self, n: int, m: int, alpha_target: float, delta: float, score_model: str,
+        runs_completed: int, seed_echo: int, methods: tuple[MethodReport, ...],
+    ) -> None:
+        vars(self).update(
+            n=n, m=m, alpha_target=alpha_target, delta=delta, score_model=score_model,
+            runs_completed=runs_completed, seed_echo=seed_echo, methods=methods
+        )
 
     def to_dict(self) -> dict:
         return {

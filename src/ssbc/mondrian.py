@@ -16,11 +16,10 @@ budget success probability meets 1 - delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .adjust import AdjustmentReport, grid_report, highest_grid_index_below, search_grid
 from .coverage import CalibrationContext, CoverageRegime, check_int, check_unit, snapped_floor
-from .specfun import BetaBinomialParams, betabinom_cdf, betabinom_pmf_vector
+from .specfun import BetaBinomialParams, Record, betabinom_lower, betabinom_pmf_vector
 
 
 class DegenerateRungError(ValueError):
@@ -28,28 +27,23 @@ class DegenerateRungError(ValueError):
     undefined at this rung."""
 
 
-@dataclass(frozen=True)
-class MondrianSpec:
+class MondrianSpec(Record):
     """Class-conditional problem description.
 
     k training points with k_j of class j; n_j class-j calibration points;
     window size m; target level and risk tolerance.
     """
 
-    k: int
-    k_j: int
-    n_j: int
-    m: int
-    alpha_target: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        check_int("training size k", self.k)
-        check_int("class count k_j", self.k_j, 0, self.k)
-        check_int("calibration size n_j", self.n_j)
-        check_int("window size m", self.m)
-        check_unit("alpha_target", self.alpha_target)
-        check_unit("delta", self.delta)
+    def __init__(
+        self, k: int, k_j: int, n_j: int, m: int, alpha_target: float, delta: float
+    ) -> None:
+        vars(self).update(k=k, k_j=k_j, n_j=n_j, m=m, alpha_target=alpha_target, delta=delta)
+        check_int("training size k", k)
+        check_int("class count k_j", k_j, 0, k)
+        check_int("calibration size n_j", n_j)
+        check_int("window size m", m)
+        check_unit("alpha_target", alpha_target)
+        check_unit("delta", delta)
 
 
 def class_count_predictive(spec: MondrianSpec) -> list[float]:
@@ -93,8 +87,7 @@ def budget_success_prob(spec: MondrianSpec, u: int) -> float:
     for r in range(1, spec.m + 1):
         if count_pmf[r] > 0.0:
             cap = min(error_budget(spec.alpha_target, r), r)
-            law = BetaBinomialParams(r, float(u), float(spec.n_j - u))
-            terms.append(count_pmf[r] * betabinom_cdf(cap, law))
+            terms.append(count_pmf[r] * betabinom_lower(cap, r, float(u), float(spec.n_j - u)))
     return min(1.0, math.fsum(terms))
 
 

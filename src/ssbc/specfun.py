@@ -12,13 +12,17 @@ absolute error of the pmf sums grows like N ln N; against exact integer
 arithmetic it stayed below 1e-15 * N ln N (tails at shapes (n+1-u, u):
 1.2e-12 at n = m = 1e3, 4.8e-11 at n = m = 1e4, 3.5e-10 at n = 1e3 and
 m = 1e5, 2.9e-9 at n = 1e3 and m = 1e6).
+
+The Beta-Binomial term routine and :func:`betabinom_lower` take plain shapes
+and check nothing.  The public functions call them after validating, and so
+does the loop over class counts in ``mondrian``, which thus builds no
+parameter record per count.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 _CF_MAX_ITER = 1000
 _CF_EPS = 1e-15
@@ -38,35 +42,65 @@ def check_int(name: str, value, lo: int = 1, hi: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
+class Record:
+    """Immutable value type.
+
+    The fields of a subclass are the parameters of its ``__init__``, in
+    order.  It stores every one with ``vars(self).update(field=field, ...)``
+    and then validates them, so Python's own call binding gives defaults
+    and the TypeError for a missing, unknown, repeated or surplus argument.
+    Equality and hashing go by the field values, and the repr is
+    ``Name(field=value, ...)``.  Assignment and deletion raise
+    AttributeError; pickling restores ``__dict__``.
+    """
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([self.__dict__[name] for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a record")
+
+    __delattr__ = __setattr__
+
+
 def _check_shape(name: str, value: float) -> None:
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class BetaParams:
+class BetaParams(Record):
     """Shape pair (a, b) of a Beta distribution, both strictly positive."""
 
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        _check_shape("Beta shape a", self.a)
-        _check_shape("Beta shape b", self.b)
+    def __init__(self, a: float, b: float) -> None:
+        vars(self).update(a=a, b=b)
+        _check_shape("Beta shape a", a)
+        _check_shape("Beta shape b", b)
 
 
-@dataclass(frozen=True)
-class BetaBinomialParams:
+class BetaBinomialParams(Record):
     """Trial count m >= 1 plus Beta shapes (a, b) of the mixing law."""
 
-    m: int
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        check_int("trial count m", self.m)
-        _check_shape("shape a", self.a)
-        _check_shape("shape b", self.b)
+    def __init__(self, m: int, a: float, b: float) -> None:
+        vars(self).update(m=m, a=a, b=b)
+        check_int("trial count m", m)
+        _check_shape("shape a", a)
+        _check_shape("shape b", b)
 
 
 def _stirling_tail(x: float) -> float:
@@ -178,10 +212,9 @@ def beta_survival(t: float, params: BetaParams) -> float:
     return _inc_beta_pair("t", t, params)[1]
 
 
-def _betabinom_terms(params: BetaBinomialParams, start: int, stop: int) -> Iterator[float]:
+def _betabinom_terms(m: int, a: float, b: float, start: int, stop: int) -> Iterator[float]:
     """Pr(X = r) for r in start..stop-1, X ~ Beta-Binomial(m; a, b); the
     law's constants are computed once, not per term."""
-    m, a, b = params.m, params.a, params.b
     lg_m = math.lgamma(m + 1)
     lb_ab = log_beta(a, b)
     for r in range(start, stop):
@@ -192,18 +225,23 @@ def _betabinom_terms(params: BetaBinomialParams, start: int, stop: int) -> Itera
 def betabinom_pmf(r: int, params: BetaBinomialParams) -> float:
     """Pr(X = r) for X ~ Beta-Binomial(m; a, b) = C(m,r) B(r+a, m-r+b) / B(a,b)."""
     check_int("r", r, 0, params.m)
-    return next(_betabinom_terms(params, r, r + 1))
+    return next(_betabinom_terms(params.m, params.a, params.b, r, r + 1))
 
 
 def betabinom_pmf_vector(params: BetaBinomialParams) -> list[float]:
     """The full pmf over r = 0..m as a list."""
-    return list(_betabinom_terms(params, 0, params.m + 1))
+    return list(_betabinom_terms(params.m, params.a, params.b, 0, params.m + 1))
+
+
+def betabinom_lower(x: int, m: int, a: float, b: float) -> float:
+    """Pr(X <= x) for X ~ Beta-Binomial(m; a, b), x in 0..m."""
+    return math.fsum(_betabinom_terms(m, a, b, 0, x + 1))
 
 
 def betabinom_cdf(x: int, params: BetaBinomialParams) -> float:
     """Pr(X <= x) for X ~ Beta-Binomial(m; a, b), summed exactly over 0..x."""
     check_int("x", x, 0, params.m)
-    return math.fsum(_betabinom_terms(params, 0, x + 1))
+    return betabinom_lower(x, params.m, params.a, params.b)
 
 
 def betabinom_survival(x_star: int, params: BetaBinomialParams) -> float:
@@ -214,10 +252,10 @@ def betabinom_survival(x_star: int, params: BetaBinomialParams) -> float:
     rounding can carry the result a little past 0 or 1, and it is clamped
     to [0, 1].
     """
-    m = params.m
+    m, a, b = params.m, params.a, params.b
     check_int("x_star", x_star, 0, m + 1)
     if m - x_star + 1 <= x_star:
-        tail = math.fsum(_betabinom_terms(params, x_star, m + 1))
+        tail = math.fsum(_betabinom_terms(m, a, b, x_star, m + 1))
     else:
-        tail = 1.0 - math.fsum(_betabinom_terms(params, 0, x_star))
+        tail = 1.0 - math.fsum(_betabinom_terms(m, a, b, 0, x_star))
     return min(1.0, max(0.0, tail))

@@ -18,12 +18,17 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN = PERFBENCH / "golden"
 
 
-def run_fresh(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter on this checkout's sources.  The
-    test process itself has numpy loaded, so import checks need one."""
+def fresh_env() -> dict:
+    """The environment of a new interpreter on this checkout's sources."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+    return env
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter.  The test process itself has numpy
+    loaded, so import checks need one."""
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -187,7 +192,33 @@ class TestFeasibleCommand:
         assert data["alpha_star_m_laplace"] == pytest.approx(0.05327830114, rel=1e-9)
 
 
+    def test_huge_window_is_an_error_within_seconds(self):
+        # The running product would need ~5e11 steps; it stops at its cap.
+        proc = subprocess.run(
+            [sys.executable, "-m", "ssbc.cli", "feasible", "--n", "1", "--delta", "0.5",
+             "--m", "1000000000000"],
+            env=fresh_env(), capture_output=True, text=True, timeout=5,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+
 class TestRungsCommand:
+    def test_closed_pipe_ends_quietly(self):
+        # ~800 KB of CSV, far more than a pipe holds: the reader takes one
+        # line and closes its end while the CLI is still writing.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ssbc.cli", "rungs", "--n", "20000", "--alpha", "0.1",
+             "--regime", "inf", "--format", "csv"],
+            env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"u,alpha_prime,attainable_delta\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_USAGE
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+
     def test_csv_rows(self, capsys):
         code, out, _ = run_cli(
             capsys, "rungs", "--n", "50", "--alpha", "0.1", "--regime", "inf",
@@ -377,21 +408,55 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
 
     def test_analytic_commands_never_load_numpy(self):
-        self.check("""
-            import contextlib, io, sys
-            import ssbc, ssbc.cli
-            argvs = [
-                ["adjust", "--n", "25", "--alpha", "0.5", "--delta", "0.1", "--regime", "inf"],
-                ["feasible", "--n", "50", "--delta", "0.1", "--m", "100"],
-                ["rungs", "--n", "50", "--alpha", "0.1", "--regime", "inf", "--format", "csv"],
-                ["mondrian", "--k", "40", "--kj", "12", "--nj", "30", "--m", "12",
-                 "--alpha", "0.2", "--delta", "0.15"],
-            ]
-            for argv in argvs:
+        # Each subcommand, in its own interpreter, loads exactly the ssbc
+        # modules it runs, and neither numpy nor dataclasses (with inspect).
+        shared = {"ssbc", "ssbc.cli", "ssbc.serialize", "ssbc.coverage", "ssbc.specfun"}
+        cases = [
+            (["adjust", "--n", "25", "--alpha", "0.5", "--delta", "0.1", "--regime", "inf"],
+             {"ssbc.adjust"}),
+            (["adjust", "--n", "25", "--alpha", "0.5", "--delta", "0.1", "--regime", "inf",
+              "--method", "dkwm"], {"ssbc.adjust"}),
+            (["adjust", "--n", "50", "--alpha", "0.1", "--delta", "0.1", "--regime", "window",
+              "--m", "100", "--format", "human"], {"ssbc.adjust"}),
+            (["feasible", "--n", "50", "--delta", "0.1", "--m", "100"], {"ssbc.feasibility"}),
+            (["rungs", "--n", "50", "--alpha", "0.1", "--regime", "inf", "--format", "csv"],
+             {"ssbc.feasibility"}),
+            (["rungs", "--n", "20", "--alpha", "0.1", "--regime", "window", "--m", "30"],
+             {"ssbc.feasibility"}),
+            (["mondrian", "--k", "40", "--kj", "12", "--nj", "30", "--m", "12",
+              "--alpha", "0.2", "--delta", "0.15"], {"ssbc.mondrian", "ssbc.adjust"}),
+        ]
+        for argv, own in cases:
+            self.check(f"""
+                import contextlib, io, sys
+                import ssbc.cli
                 with contextlib.redirect_stdout(io.StringIO()):
-                    assert ssbc.cli.main(argv) == 0, argv
-            loaded = {"numpy", "ssbc.mc", "concurrent.futures.process"} & set(sys.modules)
-            assert not loaded, loaded
+                    assert ssbc.cli.main({argv!r}) == 0
+                ours = {{name for name in sys.modules if name.split(".")[0] == "ssbc"}}
+                assert ours == {shared | own!r}, sorted(ours)
+                banned = {{"numpy", "dataclasses", "inspect", "concurrent.futures.process"}}
+                assert not banned & set(sys.modules), banned & set(sys.modules)
+            """)
+
+    def test_import_loads_no_submodule(self):
+        self.check("""
+            import sys
+            import ssbc
+            assert [name for name in sys.modules if name.startswith("ssbc")] == ["ssbc"]
+            assert "dataclasses" not in sys.modules
+        """)
+
+    def test_every_name_is_its_submodule_attribute(self):
+        self.check("""
+            import importlib
+            import ssbc
+            assert set(ssbc.__all__) <= set(dir(ssbc))
+            for name in ssbc.__all__:
+                owner = importlib.import_module(f"ssbc.{ssbc._NAMES[name]}")
+                value = getattr(ssbc, name)
+                assert value is getattr(owner, name), name
+                # the table names the module that defines it, not one that re-exports it
+                assert getattr(value, "__module__", owner.__name__) == owner.__name__, name
         """)
 
     def test_one_worker_simulate_skips_the_process_pool(self):
@@ -426,9 +491,11 @@ class TestImports:
     def test_star_import_binds_mc_names(self):
         self.check(f"""
             from ssbc import *
-            import ssbc.mc
+            import ssbc, ssbc.mc
             for name in {MC_NAMES!r}:
                 assert globals()[name] is getattr(ssbc.mc, name), name
+            for name in ssbc.__all__:
+                assert globals()[name] is getattr(ssbc, name), name
         """)
 
     def test_unknown_name_is_attribute_error(self):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ssbc.adjust import ssbc_adjust
+from ssbc import feasibility
 from ssbc.coverage import CalibrationContext, CoverageRegime, window_threshold
 from ssbc.feasibility import (
     alpha_star_exact_finite,
@@ -80,6 +81,23 @@ class TestExactFinite:
         assert alpha_star_exact_finite(1, 0.9, 1) in (0.0, 1.0)
         assert alpha_star_exact_finite(1, 0.9, 1) == 0.0  # survival(1) = 1/2 >= 0.1
         assert alpha_star_exact_finite(1, 0.05, 1) == 1.0  # 1/2 < 0.95
+
+    def test_step_cap_keeps_answers_below_it(self, monkeypatch):
+        # n=1, delta=0.5, m=100: the product (100-c)/101 passes at c = 50,
+        # its 51st factor
+        assert alpha_star_exact_finite(1, 0.5, 100) == 0.5
+        # n=1, delta=0.05, m=3: no c < m passes, so x* = 0 after 3 factors
+        assert alpha_star_exact_finite(1, 0.05, 3) == 1.0
+        monkeypatch.setattr(feasibility, "MAX_PRODUCT_STEPS", 51)
+        assert alpha_star_exact_finite(1, 0.5, 100) == 0.5
+        monkeypatch.setattr(feasibility, "MAX_PRODUCT_STEPS", 50)
+        with pytest.raises(ValueError, match="more than 50 steps"):
+            alpha_star_exact_finite(1, 0.5, 100)
+        monkeypatch.setattr(feasibility, "MAX_PRODUCT_STEPS", 3)
+        assert alpha_star_exact_finite(1, 0.05, 3) == 1.0
+        monkeypatch.setattr(feasibility, "MAX_PRODUCT_STEPS", 2)
+        with pytest.raises(ValueError, match="more than 2 steps"):
+            alpha_star_exact_finite(1, 0.05, 3)
 
     def test_gap_vanishes_for_large_windows(self):
         base = alpha_star_infinite(50, 0.1)
