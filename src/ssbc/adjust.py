@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from .coverage import CalibrationContext, CoverageRegime, order_index, snapped_ceil, tail_prob
-from .specfun import Record
+from .coverage import (
+    CalibrationContext, CoverageRegime, Record, order_index, snapped_ceil, tail_prob
+)
 
 METHOD_SSBC = "ssbc"
 METHOD_DKWM = "dkwm"

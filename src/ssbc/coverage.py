@@ -5,23 +5,25 @@ infinite-test coverage follows Beta(n+1-u, u); over a finite window of m
 test points the covered count follows Beta-Binomial(m; n+1-u, u).  The
 integer rung u is what the searches pass to :func:`tail_prob`; this module
 also owns the float snapping that keeps ceil/floor honest at exact grid
-points.
+points, and :class:`Record`, the base of the package's value types.
 """
 
 from __future__ import annotations
 
 import math
 
-from .specfun import BetaBinomialParams, BetaParams, Record, beta_survival, betabinom_survival
+from .specfun import beta_survival, betabinom_survival
 from .specfun import check_int  # re-exported: the package's one integer validator
 
 INFINITE_TEST = "infinite"
 FINITE_WINDOW = "window"
 
 # Relative slack (in units of the scale argument) under which a float is
-# treated as the exact integer it is, before applying ceil/floor.  Must be
-# far above double rounding noise (~1e-16 * scale) and far below 1.
-_SNAP_TOL = 1e-9
+# treated as the exact integer it is, before applying ceil/floor: a few
+# double rounding units.  The rounding noise of a grid level or a decimal
+# level times a scale up to 1e12 measured below 1.7e-16 * scale; a wider
+# band snaps true non-integers once 1 / scale nears it.
+_SNAP_TOL = 4 * 2.0**-52
 
 
 def check_unit(name: str, value: float) -> None:
@@ -47,6 +49,43 @@ def snapped_ceil(value: float, scale: float = 1.0) -> int:
 def snapped_floor(value: float, scale: float = 1.0) -> int:
     """floor(value) with the same integer snapping as :func:`snapped_ceil`."""
     return _snapped(value, scale, math.floor)
+
+
+class Record:
+    """Immutable value type.
+
+    The fields of a subclass are the parameters of its ``__init__``, in
+    order.  It stores every one with ``vars(self).update(field=field, ...)``
+    and then validates them, so Python's own call binding gives defaults
+    and the TypeError for a missing, unknown, repeated or surplus argument.
+    Equality and hashing go by the field values, and the repr is
+    ``Name(field=value, ...)``.  Assignment and deletion raise
+    AttributeError; pickling restores ``__dict__``.
+    """
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([self.__dict__[name] for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a record")
+
+    __delattr__ = __setattr__
 
 
 class CoverageRegime(Record):
@@ -116,6 +155,6 @@ def tail_prob(n: int, u: int, regime: CoverageRegime, alpha_target: float) -> fl
     check_unit("alpha_target", alpha_target)
     a, b = float(n + 1 - u), float(u)
     if not regime.is_window:
-        return beta_survival(1.0 - alpha_target, BetaParams(a, b))
+        return beta_survival(1.0 - alpha_target, a, b)
     m = regime.m
-    return betabinom_survival(window_threshold(alpha_target, m), BetaBinomialParams(m, a, b))
+    return betabinom_survival(window_threshold(alpha_target, m), m, a, b)

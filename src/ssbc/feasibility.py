@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .coverage import CoverageRegime, check_int, check_unit, tail_prob
-from .specfun import Record
+from .coverage import CoverageRegime, Record, check_int, check_unit, tail_prob
 
 # Most factors alpha_star_exact_finite multiplies before it gives up.
 MAX_PRODUCT_STEPS = 10**7
@@ -126,18 +125,23 @@ def alpha_star_exact_finite(n: int, delta: float, m: int) -> float:
     Pr(X <= m-c-1) = prod_{i=0..c} (m-i)/(n+m-i), so the smallest passing c
     comes from a running product, without the pmf.  It needs about
     (n+m)(1 - delta^(1/n)) factors, so past MAX_PRODUCT_STEPS factors it
-    stops with a ValueError instead of running without bound.
+    stops with a ValueError instead of running without bound.  The factors
+    shrink with c, so when even the K-th one (K = MAX_PRODUCT_STEPS) to the
+    power K stays above delta, with a margin for rounding, the loop could
+    not end in time and is not run.
     """
     _validate(n, delta)
     check_int("m", m)
+    steps = MAX_PRODUCT_STEPS
+    hopeless = m > steps and steps * math.log1p(-n / (n + m - steps + 1)) > math.log(delta) + 1e-8
     lower_tail = 1.0
-    for c in range(min(m, MAX_PRODUCT_STEPS)):
+    for c in range(0 if hopeless else min(m, steps)):
         lower_tail *= (m - c) / (n + m - c)
         if lower_tail <= delta:
             return 1.0 - (m - c) / m
-    if m > MAX_PRODUCT_STEPS:
+    if m > steps:
         raise ValueError(
-            f"the exact finite-window threshold needs more than {MAX_PRODUCT_STEPS} steps "
+            f"the exact finite-window threshold needs more than {steps} steps "
             f"for n={n}, delta={delta!r}, m={m}"
         )
     # c = m (x* = 0) always passes, since Pr(X <= -1) = 0.

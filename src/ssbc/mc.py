@@ -18,12 +18,13 @@ from .adjust import dkwm_adjust, ssbc_adjust
 from .coverage import (
     CalibrationContext,
     CoverageRegime,
+    Record,
     check_int,
     check_unit,
     order_index,
     window_threshold,
 )
-from .specfun import BetaBinomialParams, Record, betabinom_pmf_vector
+from .specfun import betabinom_pmf_vector
 
 SCORE_MODELS = ("abs_cauchy", "abs_normal", "uniform")
 METHOD_NAMES = ("none", "ssbc", "dkwm")
@@ -174,8 +175,7 @@ def theory_overlay(config: SimConfig, method_alpha: float) -> tuple[float, ...]:
     if k > config.n:
         pmf = [0.0] * config.m + [1.0]
         return tuple(pmf)
-    params = BetaBinomialParams(config.m, float(k), float(config.n + 1 - k))
-    return tuple(betabinom_pmf_vector(params))
+    return tuple(betabinom_pmf_vector(config.m, float(k), float(config.n + 1 - k)))
 
 
 def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:

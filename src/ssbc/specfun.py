@@ -13,10 +13,12 @@ arithmetic it stayed below 1e-15 * N ln N (tails at shapes (n+1-u, u):
 1.2e-12 at n = m = 1e3, 4.8e-11 at n = m = 1e4, 3.5e-10 at n = 1e3 and
 m = 1e5, 2.9e-9 at n = 1e3 and m = 1e6).
 
-The Beta-Binomial term routine and :func:`betabinom_lower` take plain shapes
-and check nothing.  The public functions call them after validating, and so
-does the loop over class counts in ``mondrian``, which thus builds no
-parameter record per count.
+Every function takes the law's parameters as plain numbers, in the order
+scipy.stats uses: the point, then the trial count m of a Beta-Binomial, then
+the shapes a and b.  The public law kernels validate them with one shared
+check (:func:`log_beta`, called per term, tests its shapes inline); the term
+routine and :func:`betabinom_lower` check nothing, so the loop over class
+counts in ``mondrian`` pays for no check per count.
 """
 
 from __future__ import annotations
@@ -42,65 +44,13 @@ def check_int(name: str, value, lo: int = 1, hi: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
-class Record:
-    """Immutable value type.
-
-    The fields of a subclass are the parameters of its ``__init__``, in
-    order.  It stores every one with ``vars(self).update(field=field, ...)``
-    and then validates them, so Python's own call binding gives defaults
-    and the TypeError for a missing, unknown, repeated or surplus argument.
-    Equality and hashing go by the field values, and the repr is
-    ``Name(field=value, ...)``.  Assignment and deletion raise
-    AttributeError; pickling restores ``__dict__``.
-    """
-
-    def __init_subclass__(cls) -> None:
-        code = cls.__init__.__code__
-        cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
-
-    def _values(self) -> tuple:
-        return tuple([self.__dict__[name] for name in self.__match_args__])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot assign to or delete field {name!r} of a record")
-
-    __delattr__ = __setattr__
-
-
-def _check_shape(name: str, value: float) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
-class BetaParams(Record):
-    """Shape pair (a, b) of a Beta distribution, both strictly positive."""
-
-    def __init__(self, a: float, b: float) -> None:
-        vars(self).update(a=a, b=b)
-        _check_shape("Beta shape a", a)
-        _check_shape("Beta shape b", b)
-
-
-class BetaBinomialParams(Record):
-    """Trial count m >= 1 plus Beta shapes (a, b) of the mixing law."""
-
-    def __init__(self, m: int, a: float, b: float) -> None:
-        vars(self).update(m=m, a=a, b=b)
+def _check_law(a: float, b: float, m: int | None = None) -> None:
+    """Raise ValueError unless the Beta shapes a and b are positive and
+    finite and the trial count m, when given, is an integer >= 1."""
+    if m is not None:
         check_int("trial count m", m)
-        _check_shape("shape a", a)
-        _check_shape("shape b", b)
+    if not (a > 0 and math.isfinite(a) and b > 0 and math.isfinite(b)):
+        raise ValueError(f"Beta shapes must be positive and finite, got a={a!r}, b={b!r}")
 
 
 def _stirling_tail(x: float) -> float:
@@ -187,13 +137,13 @@ def _inc_beta_lower(x: float, a: float, b: float) -> float:
     return math.exp(log_front) * _beta_cont_frac(a, b, x) / a
 
 
-def _inc_beta_pair(name: str, x: float, params: BetaParams) -> tuple[float, float]:
+def _inc_beta_pair(name: str, x: float, a: float, b: float) -> tuple[float, float]:
     """(I_x(a, b), 1 - I_x(a, b)).  The switch at x = (a+1)/(a+b+2) picks
     the branch on which the directly evaluated piece is the small one, so
     neither value loses accuracy to cancellation."""
+    _check_law(a, b)
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
-    a, b = params.a, params.b
     if x < (a + 1.0) / (a + b + 2.0):
         lower = 0.0 if x == 0.0 else _inc_beta_lower(x, a, b)
         return lower, 1.0 - lower
@@ -201,15 +151,15 @@ def _inc_beta_pair(name: str, x: float, params: BetaParams) -> tuple[float, floa
     return 1.0 - upper, upper
 
 
-def reg_inc_beta(x: float, params: BetaParams) -> float:
+def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b), i.e. the Beta(a, b) CDF at x,
     by the continued-fraction expansion."""
-    return _inc_beta_pair("x", x, params)[0]
+    return _inc_beta_pair("x", x, a, b)[0]
 
 
-def beta_survival(t: float, params: BetaParams) -> float:
+def beta_survival(t: float, a: float, b: float) -> float:
     """Pr(Z >= t) for Z ~ Beta(a, b), by the continued-fraction expansion."""
-    return _inc_beta_pair("t", t, params)[1]
+    return _inc_beta_pair("t", t, a, b)[1]
 
 
 def _betabinom_terms(m: int, a: float, b: float, start: int, stop: int) -> Iterator[float]:
@@ -222,29 +172,33 @@ def _betabinom_terms(m: int, a: float, b: float, start: int, stop: int) -> Itera
         yield math.exp(log_choose + log_beta(r + a, m - r + b) - lb_ab)
 
 
-def betabinom_pmf(r: int, params: BetaBinomialParams) -> float:
+def betabinom_pmf(r: int, m: int, a: float, b: float) -> float:
     """Pr(X = r) for X ~ Beta-Binomial(m; a, b) = C(m,r) B(r+a, m-r+b) / B(a,b)."""
-    check_int("r", r, 0, params.m)
-    return next(_betabinom_terms(params.m, params.a, params.b, r, r + 1))
+    _check_law(a, b, m)
+    check_int("r", r, 0, m)
+    return next(_betabinom_terms(m, a, b, r, r + 1))
 
 
-def betabinom_pmf_vector(params: BetaBinomialParams) -> list[float]:
+def betabinom_pmf_vector(m: int, a: float, b: float) -> list[float]:
     """The full pmf over r = 0..m as a list."""
-    return list(_betabinom_terms(params.m, params.a, params.b, 0, params.m + 1))
+    _check_law(a, b, m)
+    return list(_betabinom_terms(m, a, b, 0, m + 1))
 
 
 def betabinom_lower(x: int, m: int, a: float, b: float) -> float:
-    """Pr(X <= x) for X ~ Beta-Binomial(m; a, b), x in 0..m."""
+    """Pr(X <= x) for X ~ Beta-Binomial(m; a, b): :func:`betabinom_cdf`
+    without its argument checks."""
     return math.fsum(_betabinom_terms(m, a, b, 0, x + 1))
 
 
-def betabinom_cdf(x: int, params: BetaBinomialParams) -> float:
+def betabinom_cdf(x: int, m: int, a: float, b: float) -> float:
     """Pr(X <= x) for X ~ Beta-Binomial(m; a, b), summed exactly over 0..x."""
-    check_int("x", x, 0, params.m)
-    return betabinom_lower(x, params.m, params.a, params.b)
+    _check_law(a, b, m)
+    check_int("x", x, 0, m)
+    return betabinom_lower(x, m, a, b)
 
 
-def betabinom_survival(x_star: int, params: BetaBinomialParams) -> float:
+def betabinom_survival(x_star: int, m: int, a: float, b: float) -> float:
     """Pr(X >= x_star) for X ~ Beta-Binomial(m; a, b).
 
     The side of x_star with fewer terms is summed (with exact summation);
@@ -252,7 +206,7 @@ def betabinom_survival(x_star: int, params: BetaBinomialParams) -> float:
     rounding can carry the result a little past 0 or 1, and it is clamped
     to [0, 1].
     """
-    m, a, b = params.m, params.a, params.b
+    _check_law(a, b, m)
     check_int("x_star", x_star, 0, m + 1)
     if m - x_star + 1 <= x_star:
         tail = math.fsum(_betabinom_terms(m, a, b, x_star, m + 1))

@@ -22,7 +22,7 @@ import numpy as np
 
 from ssbc.coverage import order_index
 from ssbc.mondrian import DegenerateRungError, MondrianSpec, class_count_predictive
-from ssbc.specfun import BetaBinomialParams, betabinom_pmf
+from ssbc.specfun import betabinom_pmf
 
 _JOINT_MASS_TOL = 1e-9
 
@@ -192,7 +192,7 @@ def error_count_conditional(e: int, r: int, s_j: int, n_j: int) -> float:
         raise ValueError(f"need 0 <= e <= r, got e={e}, r={r}")
     if r == 0:
         return 1.0
-    return betabinom_pmf(e, BetaBinomialParams(r, float(s_j), float(n_j - s_j)))
+    return betabinom_pmf(e, r, float(s_j), float(n_j - s_j))
 
 
 @dataclass(frozen=True)

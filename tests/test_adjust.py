@@ -1,7 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssbc.adjust import (
     dkwm_adjust,
@@ -56,6 +59,14 @@ class TestHighestGridIndexBelow:
 
     def test_none_below(self):
         assert highest_grid_index_below(0.01, 5) == 0
+
+    @given(st.integers(1, 10**8), st.integers(1, 6), st.integers(1, 999_999))
+    @settings(max_examples=500)
+    def test_short_decimal_levels_are_exact(self, n, digits, numerator):
+        # the top rung of the decimal level itself: u/(n+1) < alpha exactly
+        alpha = Fraction(numerator % 10**digits or 1, 10**digits)
+        top = math.ceil(alpha * (n + 1)) - 1
+        assert highest_grid_index_below(float(alpha), n) == min(n, top)
 
 
 class TestSsbcAdjust:

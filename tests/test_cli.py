@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,18 @@ class TestAdjustCommand:
         data = json.loads(out)
         assert data["achieved_violation"] == pytest.approx(0.047163208, rel=1e-8)
         assert data["inputs"]["m"] == 100
+
+    @pytest.mark.parametrize("argv,u_star", [
+        # 1/10 lies just below the level and its tail 0.6126 meets 1 - delta
+        (["--n", "9", "--alpha", "0.1000000001", "--delta", "0.5", "--regime", "inf"], 1),
+        # alpha (n+1) = 500000000.2999..., so rung 500000000 lies below the level
+        (["--n", "1000000000", "--alpha", "0.4999999998", "--delta", "0.6", "--regime", "window",
+          "--m", "1"], 500_000_000),
+    ])
+    def test_level_just_above_a_rung_keeps_that_rung(self, capsys, argv, u_star):
+        code, out, _ = run_cli(capsys, "adjust", *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["u_star"] == u_star
 
     def test_infeasible_exit_code(self, capsys):
         code, out, _ = run_cli(
@@ -190,6 +203,16 @@ class TestFeasibleCommand:
         data = json.loads(out)
         assert data["alpha_star_m"] == pytest.approx(0.05, abs=1e-10)
         assert data["alpha_star_m_laplace"] == pytest.approx(0.05327830114, rel=1e-9)
+
+    def test_hopeless_window_is_refused_at_once(self, capsys):
+        # Even the product's first 10^7 factors stay above delta, so it is
+        # refused before they are multiplied, which takes seconds.
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "feasible", "--n", "1", "--delta", "0.5",
+                               "--m", "1000000000000")
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
 
 
     def test_huge_window_is_an_error_within_seconds(self):
@@ -325,15 +348,38 @@ class TestBenchmarkHooks:
     renamed or removed target would stop a traced run, so every target must
     resolve.  Reads perfbench/tracer.py and writes nothing under perfbench/."""
 
-    def test_tracer_targets_resolve(self):
+    @staticmethod
+    def load_tracer():
         spec = importlib.util.spec_from_file_location(
             "perfbench_tracer", PERFBENCH / "tracer.py"
         )
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
+        return tracer
+
+    def test_tracer_targets_resolve(self):
+        tracer = self.load_tracer()
         assert tracer.TARGETS
         for module, name in tracer.TARGETS:
             assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+
+    def test_tail_kernels_are_traced_through_coverage(self):
+        # The tracer wraps a kernel under every name a module binds it to;
+        # coverage binds the two tail kernels by name and calls each once
+        # per tail_prob.
+        from ssbc import coverage, specfun
+        from ssbc.coverage import CoverageRegime
+
+        tracer = self.load_tracer()
+        assert coverage.beta_survival is specfun.beta_survival
+        assert coverage.betabinom_survival is specfun.betabinom_survival
+        with tracer.Tracer().installed() as traced, traced.request(0):
+            coverage.tail_prob(50, 2, CoverageRegime.infinite(), 0.1)
+            coverage.tail_prob(50, 2, CoverageRegime.window(100), 0.1)
+            coverage.tail_prob(50, 3, CoverageRegime.window(100), 0.1)
+        assert traced.calls("coverage.tail_prob") == 3
+        assert traced.calls("specfun.beta_survival") == 1
+        assert traced.calls("specfun.betabinom_survival") == 2
 
 
 class TestCanonicalJson:
@@ -386,8 +432,8 @@ class TestHelp:
 MC_NAMES = ("MethodReport", "SimConfig", "SimReport", "run_simulation", "theory_overlay")
 
 PUBLIC_API = {
-    "AdjustmentReport", "BetaBinomialParams", "BetaParams", "CalibrationContext",
-    "CoverageRegime", "DegenerateRungError", "FeasibilityReport",
+    "AdjustmentReport", "CalibrationContext", "CoverageRegime", "DegenerateRungError",
+    "FeasibilityReport",
     "METHOD_DKWM", "METHOD_SSBC", "MethodReport", "MondrianSpec", "Rung", "RungTable",
     "SimConfig", "SimReport", "alpha_star_exact_finite", "alpha_star_infinite",
     "alpha_star_laplace", "beta_survival", "betabinom_cdf", "betabinom_pmf",

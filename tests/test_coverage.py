@@ -13,7 +13,7 @@ from ssbc.coverage import (
     tail_prob,
     window_threshold,
 )
-from ssbc.specfun import BetaBinomialParams, BetaParams, beta_survival, betabinom_survival
+from ssbc.specfun import beta_survival, betabinom_survival
 
 from oracles import bb_survival, bb_window_tail, beta_survival_int
 
@@ -43,6 +43,13 @@ class TestOrderIndex:
     def test_degenerate_everything_set(self):
         assert order_index(0.01, 5) == 6  # k = n+1 sentinel
 
+    @given(st.integers(1, 10**12), st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=500)
+    def test_grid_levels_round_trip(self, n, fraction):
+        # the grid level u/(n+1) maps back to its order index n+1-u
+        u = 1 + int(fraction * n)
+        assert order_index(u / (n + 1), n) == n + 1 - u
+
     @given(st.floats(0.001, 0.999), st.integers(1, 500))
     @settings(max_examples=300)
     def test_range_and_definition(self, alpha, n):
@@ -69,11 +76,11 @@ class TestCoverageLaw:
     def test_examples(self):
         regime = CoverageRegime.infinite()
         for n, u in [(50, 2), (25, 9)]:
-            expected = beta_survival(0.9, BetaParams(float(n + 1 - u), float(u)))
+            expected = beta_survival(0.9, float(n + 1 - u), float(u))
             assert tail_prob(n, u, regime, 0.1) == expected
 
     def test_first_rung_window(self):
-        expected = betabinom_survival(4, BetaBinomialParams(4, 7.0, 1.0))
+        expected = betabinom_survival(4, 4, 7.0, 1.0)
         assert tail_prob(7, 1, CoverageRegime.window(4), 0.1) == expected
         assert expected == pytest.approx(7 / 11, abs=1e-12)  # Pr(X = 4) = 7/11
 
@@ -81,7 +88,7 @@ class TestCoverageLaw:
     @settings(max_examples=200)
     def test_round_trip_every_rung(self, n):
         for u in (1, max(1, n // 2), n):
-            expected = beta_survival(0.5, BetaParams(float(n + 1 - u), float(u)))
+            expected = beta_survival(0.5, float(n + 1 - u), float(u))
             assert tail_prob(n, u, CoverageRegime.infinite(), 0.5) == expected
 
     def test_rejects_off_grid(self):
@@ -149,8 +156,13 @@ class TestTailProb:
         assert abs(windowed - infinite) <= 0.02
 
     def test_target_near_one_saturates(self):
-        for regime in (CoverageRegime.infinite(), CoverageRegime.window(13)):
-            assert tail_prob(20, 5, regime, 1 - 1e-12) == pytest.approx(1.0, abs=1e-9)
+        alpha = 1 - 1e-12
+        assert tail_prob(20, 5, CoverageRegime.infinite(), alpha) == pytest.approx(1.0, abs=1e-9)
+        # x* = ceil(13 (1 - alpha)) = 1: the window must cover one point
+        assert window_threshold(alpha, 13) == 1
+        exact = float(bb_window_tail(1, 13, 20, 5))
+        assert exact == pytest.approx(0.99999584762848, abs=1e-14)
+        assert tail_prob(20, 5, CoverageRegime.window(13), alpha) == pytest.approx(exact, abs=1e-12)
 
     def test_window_tail_at_most_one(self):
         # the exact tail is within 1e-13 of 1, and the summed side of the

@@ -17,7 +17,8 @@ class TestViolationThreshold:
     def test_examples(self):
         assert window_threshold(0.1, 100) == 90
         assert window_threshold(0.1, 95) == 86  # ceil(85.5)
-        assert window_threshold(1 - 1e-13, 10) == 0
+        # (1 - alpha) m = 1e-12 is no integer: one covered point is needed
+        assert window_threshold(1 - 1e-13, 10) == 1
 
 
 class TestTheoryOverlay:

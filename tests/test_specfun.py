@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssbc.specfun import (
-    BetaBinomialParams,
-    BetaParams,
     beta_survival,
     betabinom_cdf,
     betabinom_pmf,
@@ -26,6 +24,38 @@ from oracles import (
     log_beta_int,
     reg_inc_beta_int,
 )
+
+
+# Each public kernel with valid arguments, the position of its trial count
+# m (None if it has none), and first arguments outside its range.  The
+# shapes a and b are always the last two arguments.
+KERNELS = {
+    "reg_inc_beta": (reg_inc_beta, (0.3, 2.0, 3.0), None, (-0.1, 1.2)),
+    "beta_survival": (beta_survival, (0.3, 2.0, 3.0), None, (-0.1, 1.2)),
+    "betabinom_pmf": (betabinom_pmf, (4, 10, 2.0, 3.0), 1, (-1, 11)),
+    "betabinom_pmf_vector": (betabinom_pmf_vector, (10, 2.0, 3.0), 0, ()),
+    "betabinom_cdf": (betabinom_cdf, (4, 10, 2.0, 3.0), 1, (-1, 11)),
+    "betabinom_survival": (betabinom_survival, (4, 10, 2.0, 3.0), 1, (-1, 12)),
+}
+
+
+def _bad_calls():
+    for name, (_, args, m_at, bad_points) in KERNELS.items():
+        bad = [(len(args) - 2, v) for v in (0.0, -1.5, math.nan, math.inf)]
+        bad += [(len(args) - 1, v) for v in (0, -2, math.nan, -math.inf)]
+        if m_at is not None:
+            bad += [(m_at, v) for v in (True, 0, -3)]
+        bad += [(0, v) for v in bad_points]
+        for at, value in bad:
+            yield pytest.param(name, at, value, id=f"{name}-arg{at}={value!r}")
+
+
+@pytest.mark.parametrize("name,at,value", list(_bad_calls()))
+def test_every_kernel_rejects_bad_arguments(name, at, value):
+    kernel, args, _, _ = KERNELS[name]
+    kernel(*args)  # valid as given
+    with pytest.raises(ValueError):
+        kernel(*args[:at], value, *args[at + 1:])
 
 
 class TestLogBeta:
@@ -56,18 +86,18 @@ class TestLogBeta:
 
 class TestRegIncBeta:
     def test_uniform(self):
-        assert reg_inc_beta(0.37, BetaParams(1, 1)) == pytest.approx(0.37, abs=1e-15)
+        assert reg_inc_beta(0.37, 1, 1) == pytest.approx(0.37, abs=1e-15)
 
     def test_symmetric_midpoint(self):
-        assert reg_inc_beta(0.5, BetaParams(7, 7)) == pytest.approx(0.5, abs=1e-13)
+        assert reg_inc_beta(0.5, 7, 7) == pytest.approx(0.5, abs=1e-13)
 
     def test_power_law(self):
-        assert reg_inc_beta(0.9, BetaParams(50, 1)) == pytest.approx(0.9**50, rel=1e-12)
+        assert reg_inc_beta(0.9, 50, 1) == pytest.approx(0.9**50, rel=1e-12)
 
     def test_endpoints(self):
-        p = BetaParams(3.5, 2.25)
-        assert reg_inc_beta(0.0, p) == 0.0
-        assert reg_inc_beta(1.0, p) == 1.0
+        p = (3.5, 2.25)
+        assert reg_inc_beta(0.0, *p) == 0.0
+        assert reg_inc_beta(1.0, *p) == 1.0
 
     @given(
         st.integers(1, 100),
@@ -78,47 +108,45 @@ class TestRegIncBeta:
     def test_binomial_sum_identity(self, a, b, xi):
         x = xi / 100
         expected = float(reg_inc_beta_int(x, a, b))
-        assert reg_inc_beta(x, BetaParams(a, b)) == pytest.approx(expected, abs=1e-12)
+        assert reg_inc_beta(x, a, b) == pytest.approx(expected, abs=1e-12)
 
     @given(st.floats(0.2, 80.0), st.floats(0.2, 80.0))
     @settings(max_examples=100)
     def test_nondecreasing_in_x(self, a, b):
-        p = BetaParams(a, b)
         xs = [i / 20 for i in range(21)]
-        values = [reg_inc_beta(x, p) for x in xs]
+        values = [reg_inc_beta(x, a, b) for x in xs]
         assert all(lo <= hi + 1e-13 for lo, hi in zip(values, values[1:]))
 
     @given(st.floats(0.2, 200.0), st.floats(0.2, 200.0), st.floats(0.001, 0.999))
     @settings(max_examples=200)
     def test_complements_survival(self, a, b, t):
-        p = BetaParams(a, b)
-        assert reg_inc_beta(t, p) + beta_survival(t, p) == pytest.approx(1.0, abs=1e-12)
+        assert reg_inc_beta(t, a, b) + beta_survival(t, a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            reg_inc_beta(1.2, BetaParams(2, 2))
+            reg_inc_beta(1.2, 2, 2)
         with pytest.raises(ValueError):
-            reg_inc_beta(-0.1, BetaParams(2, 2))
+            reg_inc_beta(-0.1, 2, 2)
         with pytest.raises(ValueError):
-            BetaParams(0, 2)
+            reg_inc_beta(0.5, 0, 2)
 
 
 class TestBetaSurvival:
     def test_at_zero(self):
-        assert beta_survival(0.0, BetaParams(12.5, 0.7)) == 1.0
+        assert beta_survival(0.0, 12.5, 0.7) == 1.0
 
     def test_closed_form_small_tail(self):
-        assert beta_survival(0.99, BetaParams(5, 1)) == pytest.approx(1 - 0.99**5, rel=1e-12)
+        assert beta_survival(0.99, 5, 1) == pytest.approx(1 - 0.99**5, rel=1e-12)
 
     def test_order_statistic_tail(self):
         # oracle: 1 - (0.9^50 + 50 * 0.1 * 0.9^49), exact rational evaluation
         expected = 0.9662141403075681
-        assert beta_survival(0.9, BetaParams(49, 2)) == pytest.approx(expected, abs=1e-12)
+        assert beta_survival(0.9, 49, 2) == pytest.approx(expected, abs=1e-12)
         assert float(beta_survival_int(0.9, 49, 2)) == pytest.approx(expected, abs=1e-15)
 
     def test_near_one_accuracy(self):
         # survival close to 1 must not lose absolute accuracy to cancellation
-        got = beta_survival(0.5, BetaParams(49, 2))
+        got = beta_survival(0.5, 49, 2)
         expected = float(beta_survival_int(0.5, 49, 2))
         assert got == pytest.approx(expected, abs=1e-13)
 
@@ -137,91 +165,85 @@ class TestBetaSurvivalAgainstScipy:
             mean = a / (a + b)
             sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
             t = min(max(mean + rng.uniform(-4, 4) * sd, 1e-9), 1 - 1e-9)
-            got = beta_survival(t, BetaParams(float(a), float(b)))
+            got = beta_survival(t, float(a), float(b))
             assert abs(got - float(special.betaincc(a, b, t))) <= 2e-15 * (a + b), (a, b, t)
 
 
 class TestBetaBinomial:
     def test_uniform_mixture(self):
-        p = BetaBinomialParams(10, 1, 1)
         for r in range(11):
-            assert betabinom_pmf(r, p) == pytest.approx(1 / 11, abs=1e-12)
+            assert betabinom_pmf(r, 10, 1, 1) == pytest.approx(1 / 11, abs=1e-12)
 
     def test_beta_ratio_closed_forms(self):
-        assert betabinom_pmf(10, BetaBinomialParams(10, 50, 1)) == pytest.approx(50 / 60, abs=1e-12)
-        assert betabinom_pmf(0, BetaBinomialParams(5, 1, 50)) == pytest.approx(50 / 55, abs=1e-12)
+        assert betabinom_pmf(10, 10, 50, 1) == pytest.approx(50 / 60, abs=1e-12)
+        assert betabinom_pmf(0, 5, 1, 50) == pytest.approx(50 / 55, abs=1e-12)
 
     @pytest.mark.parametrize(
         "m,a,b",
         [(1, 1, 1), (7, 3, 9), (25, 50, 2), (60, 0.5, 0.5), (100, 46, 5), (200, 1000, 3), (40, 9500, 8200)],
     )
     def test_normalization(self, m, a, b):
-        total = math.fsum(betabinom_pmf_vector(BetaBinomialParams(m, a, b)))
+        total = math.fsum(betabinom_pmf_vector(m, a, b))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     @given(st.integers(1, 40), st.floats(0.1, 300.0), st.floats(0.1, 300.0))
     @settings(max_examples=150)
     def test_symmetry(self, m, a, b):
-        pa = BetaBinomialParams(m, a, b)
-        pb = BetaBinomialParams(m, b, a)
         for r in range(m + 1):
-            assert betabinom_pmf(r, pa) == pytest.approx(betabinom_pmf(m - r, pb), abs=1e-10)
+            assert betabinom_pmf(r, m, a, b) == pytest.approx(betabinom_pmf(m - r, m, b, a), abs=1e-10)
 
     def test_pmf_against_exact_rationals(self):
         for (m, a, b) in [(12, 4, 9), (30, 17, 2), (55, 20, 36)]:
-            p = BetaBinomialParams(m, a, b)
             for r in range(m + 1):
-                assert betabinom_pmf(r, p) == pytest.approx(float(bb_pmf(r, m, a, b)), abs=1e-12)
+                expected = float(bb_pmf(r, m, a, b))
+                assert betabinom_pmf(r, m, a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_pmf_domain_errors(self):
-        p = BetaBinomialParams(10, 2, 3)
+        p = (10, 2, 3)
         with pytest.raises(ValueError):
-            betabinom_pmf(-1, p)
+            betabinom_pmf(-1, *p)
         with pytest.raises(ValueError):
-            betabinom_pmf(11, p)
+            betabinom_pmf(11, *p)
         with pytest.raises(ValueError):
-            BetaBinomialParams(0, 1, 1)
+            betabinom_pmf(0, 0, 1, 1)
 
 
 class TestBetaBinomialSurvival:
     def test_boundaries(self):
-        p = BetaBinomialParams(10, 2.5, 7)
-        assert betabinom_survival(0, p) == 1.0
-        assert betabinom_survival(11, p) == 0.0
+        p = (10, 2.5, 7)
+        assert betabinom_survival(0, *p) == 1.0
+        assert betabinom_survival(11, *p) == 0.0
 
     def test_uniform_tail(self):
-        assert betabinom_survival(6, BetaBinomialParams(10, 1, 1)) == pytest.approx(5 / 11, abs=1e-12)
+        assert betabinom_survival(6, 10, 1, 1) == pytest.approx(5 / 11, abs=1e-12)
 
     def test_against_exact_rationals(self):
         for (m, a, b) in [(20, 6, 3), (41, 18, 25), (100, 50, 1)]:
-            p = BetaBinomialParams(m, a, b)
             for x in range(m + 2):
-                assert betabinom_survival(x, p) == pytest.approx(
+                assert betabinom_survival(x, m, a, b) == pytest.approx(
                     float(bb_survival(x, m, a, b)), abs=1e-10
                 )
 
     def test_cdf_against_exact_rationals(self):
         for (m, a, b) in [(20, 6, 3), (41, 18, 25), (100, 50, 1)]:
-            p = BetaBinomialParams(m, a, b)
             for x in range(m + 1):
-                assert betabinom_cdf(x, p) == pytest.approx(
+                assert betabinom_cdf(x, m, a, b) == pytest.approx(
                     float(1 - bb_survival(x + 1, m, a, b)), abs=1e-10
                 )
-        p = BetaBinomialParams(10, 2, 3)
+        p = (10, 2, 3)
         for x in (-1, 11, True, 2.0):
             with pytest.raises(ValueError):
-                betabinom_cdf(x, p)
+                betabinom_cdf(x, *p)
 
     @given(st.integers(1, 50), st.floats(0.2, 200.0), st.floats(0.2, 200.0))
     @settings(max_examples=100)
     def test_nonincreasing(self, m, a, b):
-        p = BetaBinomialParams(m, a, b)
-        values = [betabinom_survival(x, p) for x in range(m + 2)]
+        values = [betabinom_survival(x, m, a, b) for x in range(m + 2)]
         assert all(hi >= lo - 1e-12 for hi, lo in zip(values, values[1:]))
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            betabinom_survival(12, BetaBinomialParams(10, 1, 1))
+            betabinom_survival(12, 10, 1, 1)
 
 
 class TestBetaBinomialTailAgainstHypergeometric:
@@ -237,6 +259,6 @@ class TestBetaBinomialTailAgainstHypergeometric:
             x_star = m - round(alpha * m)
             u_hi = math.ceil(alpha * (n + 1)) - 1
             for u in (1, u_hi // 2, u_hi * 9 // 10, u_hi):
-                got = betabinom_survival(x_star, BetaBinomialParams(m, n + 1 - u, u))
+                got = betabinom_survival(x_star, m, n + 1 - u, u)
                 exact = bb_window_tail(x_star, m, n, u)
                 assert abs(Fraction(got) - exact) <= bound, (n, m, alpha, u)
