@@ -28,8 +28,8 @@ _NAMES = {
                         "alpha_star_infinite", "alpha_star_laplace", "feasibility_report",
                         "grid_implementable", "rung_table"),
         "mc": ("MethodReport", "SimConfig", "SimReport", "run_simulation", "theory_overlay"),
-        "mondrian": ("DegenerateRungError", "MondrianSpec", "budget_success_prob",
-                     "class_count_predictive", "ssbc_mondrian"),
+        "mondrian": ("MondrianSpec", "budget_success_prob", "class_count_predictive",
+                     "ssbc_mondrian"),
         "specfun": ("beta_survival", "betabinom_cdf", "betabinom_pmf", "betabinom_pmf_vector",
                     "betabinom_survival", "log_beta", "reg_inc_beta"),
     }.items()

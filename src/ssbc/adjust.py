@@ -81,21 +81,11 @@ def search_grid(
     or None when no rung passes.
 
     tail_fn must be nonincreasing in u, so the passing rungs are a prefix
-    1..u*.  Rung u_hi is tried first and rung 1 second; after that, the
-    search bisects between a passing and a failing rung.  That takes at most
-    ceil(log2 u_hi) + 2 evaluations of tail_fn.
+    1..u*.  The search bisects between rung 0, taken to pass, and rung
+    u_hi + 1, taken to fail; it evaluates only rungs in 1..u_hi, at most
+    ceil(log2(u_hi + 1)) of them.
     """
-    if u_hi < 1:
-        return None
-    hi_tail = tail_fn(u_hi)
-    if hi_tail >= threshold:
-        return u_hi, hi_tail
-    if u_hi == 1:
-        return None
-    lo_tail = tail_fn(1)
-    if lo_tail < threshold:
-        return None
-    lo, hi = 1, u_hi  # rung lo passes, rung hi fails
+    lo, hi, lo_tail = 0, u_hi + 1, None  # rung lo passes, rung hi fails
     while hi - lo > 1:
         mid = (lo + hi) // 2
         tail = tail_fn(mid)
@@ -103,7 +93,7 @@ def search_grid(
             lo, lo_tail = mid, tail
         else:
             hi = mid
-    return lo, lo_tail
+    return None if lo == 0 else (lo, lo_tail)
 
 
 def grid_report(

@@ -144,29 +144,6 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
     return hist
 
 
-def _resolve_methods(config: SimConfig) -> list[MethodReport]:
-    """Per-method adjusted levels; infeasible adjusters mark the method
-    skipped instead of failing the simulation."""
-    ctx = CalibrationContext(n=config.n, alpha_target=config.alpha_target, delta=config.delta)
-    resolved = []
-    for name in config.methods:
-        if name == "none":
-            resolved.append(MethodReport(method=name, skipped=False, alpha_used=config.alpha_target))
-            continue
-        report = (
-            ssbc_adjust(ctx, CoverageRegime.window(config.m)) if name == "ssbc" else dkwm_adjust(ctx)
-        )
-        if not report.feasible:
-            resolved.append(MethodReport(method=name, skipped=True, note=report.note))
-        else:
-            resolved.append(
-                MethodReport(
-                    method=name, skipped=False, alpha_used=report.alpha_adj, u_star=report.u_star
-                )
-            )
-    return resolved
-
-
 def theory_overlay(config: SimConfig, method_alpha: float) -> tuple[float, ...]:
     """Coverage pmf over {0..m}/m implied by thresholding at method_alpha:
     Beta-Binomial(m; k, n+1-k) with k the induced order index, collapsing to
@@ -187,9 +164,23 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
     not depend on the worker count.
     """
     check_int("workers", workers)
-    resolved = _resolve_methods(config)
-    active = [r for r in resolved if not r.skipped]
-    ks = tuple(order_index(r.alpha_used, config.n) for r in active)
+    # Each method's adjusted level; an infeasible adjuster marks its method
+    # skipped instead of failing the simulation.  The active reports are
+    # finished below, once the runs are counted.
+    ctx = CalibrationContext(n=config.n, alpha_target=config.alpha_target, delta=config.delta)
+    reports = []
+    for name in config.methods:
+        if name == "none":
+            reports.append(MethodReport(name, skipped=False, alpha_used=config.alpha_target))
+            continue
+        adj = (ssbc_adjust(ctx, CoverageRegime.window(config.m)) if name == "ssbc"
+               else dkwm_adjust(ctx))
+        reports.append(
+            MethodReport(name, skipped=False, alpha_used=adj.alpha_adj, u_star=adj.u_star)
+            if adj.feasible else MethodReport(name, skipped=True, note=adj.note)
+        )
+    active = [i for i, report in enumerate(reports) if not report.skipped]
+    ks = tuple(order_index(reports[i].alpha_used, config.n) for i in active)
 
     total = np.zeros((len(ks), config.m + 1), dtype=np.int64)
     if ks:
@@ -210,27 +201,18 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
                     total += future.result()
 
     x_star = window_threshold(config.alpha_target, config.m)
-    reports = []
-    index = 0
-    for report in resolved:
-        if report.skipped:
-            reports.append(report)
-            continue
-        hist = total[index]
-        index += 1
+    for i, hist in zip(active, total):
+        report = reports[i]
         violations = int(hist[:x_star].sum())
-        overlay = theory_overlay(config, report.alpha_used)
-        reports.append(
-            MethodReport(
-                method=report.method,
-                skipped=False,
-                alpha_used=report.alpha_used,
-                u_star=report.u_star,
-                empirical_violation_rate=violations / config.runs,
-                theory_violation_rate=math.fsum(overlay[:x_star]),
-                violations=violations,
-                coverage_histogram=tuple(int(c) for c in hist),
-            )
+        reports[i] = MethodReport(
+            method=report.method,
+            skipped=False,
+            alpha_used=report.alpha_used,
+            u_star=report.u_star,
+            empirical_violation_rate=violations / config.runs,
+            theory_violation_rate=math.fsum(theory_overlay(config, report.alpha_used)[:x_star]),
+            violations=violations,
+            coverage_histogram=tuple(int(c) for c in hist),
         )
     return SimReport(
         n=config.n,

@@ -24,11 +24,6 @@ from .coverage import (
 from .specfun import betabinom_lower, betabinom_pmf_vector
 
 
-class DegenerateRungError(ValueError):
-    """The miscoverage count s_j is 0 or n_j, so Beta(s_j, n_j - s_j) is
-    undefined at this rung."""
-
-
 class MondrianSpec(Record):
     """Class-conditional problem description.
 
@@ -74,14 +69,13 @@ def budget_success_prob(spec: MondrianSpec, u: int) -> float:
 
     The cap uses the spec's target level while the error law uses the
     miscoverage count of the rung, which on the grid is s_j = u.  Raises
-    ValueError unless 1 <= u <= n_j, and DegenerateRungError at u = n_j.
+    ValueError unless 1 <= u <= n_j - 1: at u = n_j the law
+    Beta(s_j, n_j - s_j) is undefined.
     The coupling of e_j and m_j is kept: each window's cap is evaluated
     under the conditional law for its own count, never under the marginal
     of e_j.
     """
-    check_int("rung u", u, 1, spec.n_j)
-    if u == spec.n_j:
-        raise DegenerateRungError(f"Beta(s_j, n_j - s_j) undefined for s_j={u}, n_j={spec.n_j}")
+    check_int("rung u", u, 1, spec.n_j - 1)
     count_pmf = class_count_predictive(spec)
     terms = [count_pmf[0]]  # an empty window always meets its budget
     for r in range(1, spec.m + 1):
@@ -97,8 +91,15 @@ def ssbc_mondrian(spec: MondrianSpec) -> AdjustmentReport:
 
     On the grid s_j = u, so the only degenerate rung is u = n_j; it is
     skipped and recorded.  The search over the other rungs is the bisection
-    of :func:`ssbc.adjust.search_grid`, which relies on the success
-    probability being nonincreasing in u.
+    of :func:`ssbc.adjust.search_grid`, which is exact because the success
+    probability is nonincreasing in u:
+
+    - Beta(s, n_j - s) is stochastically increasing in s.
+    - So e_j | m_j = r ~ Beta-Binomial(r; u, n_j - u), a Binomial(r, p)
+      mixed over that law of p, is stochastically increasing in u, and each
+      Pr(e_j <= cap_r | m_j = r) at a fixed cap is nonincreasing in u.
+    - The count law Pr(m_j = r) does not depend on u, so the success
+      probability is a positive mixture of nonincreasing terms.
     """
     n_j = spec.n_j
     highest = highest_grid_index_below(spec.alpha_target, n_j)

@@ -5,7 +5,6 @@ trivial."""
 
 from __future__ import annotations
 
-import json
 import math
 
 
@@ -17,6 +16,16 @@ def format_float(value: float) -> str:
     return text
 
 
+def _quote(text: str) -> str:
+    """``json.dumps(text)``.  Every string the package writes is plain
+    printable ASCII, which needs no escape; only other text loads ``json``."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json
+
+    return json.dumps(text)
+
+
 def _write(value, out: list[str]) -> None:
     if value is None or value is True or value is False:
         out.append("null" if value is None else ("true" if value else "false"))
@@ -25,7 +34,7 @@ def _write(value, out: list[str]) -> None:
     elif isinstance(value, float):
         out.append(format_float(value))
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        out.append(_quote(value))
     elif isinstance(value, (list, tuple)):
         out.append("[")
         for i, item in enumerate(value):
@@ -40,7 +49,7 @@ def _write(value, out: list[str]) -> None:
                 out.append(", ")
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(json.dumps(key))
+            out.append(_quote(key))
             out.append(": ")
             _write(item, out)
         out.append("}")

@@ -21,10 +21,15 @@ from math import comb, factorial
 import numpy as np
 
 from ssbc.coverage import order_index
-from ssbc.mondrian import DegenerateRungError, MondrianSpec, class_count_predictive
+from ssbc.mondrian import MondrianSpec, class_count_predictive
 from ssbc.specfun import betabinom_pmf
 
 _JOINT_MASS_TOL = 1e-9
+
+
+class DegenerateRungError(ValueError):
+    """The miscoverage count s_j is 0 or n_j, so Beta(s_j, n_j - s_j) is
+    undefined at this rung."""
 
 
 def binom_tail(n: int, p, k: int) -> Fraction:
@@ -36,6 +41,18 @@ def binom_tail(n: int, p, k: int) -> Fraction:
         return Fraction(0)
     q = 1 - p
     return sum(Fraction(comb(n, j)) * p**j * q ** (n - j) for j in range(k, n + 1))
+
+
+def binom_rung_tail(n: int, u: int, alpha_target: float) -> Fraction:
+    """The infinite-stream tail at rung u, Pr(Beta(n+1-u, u) >= t), through
+    the identity
+
+        Pr(Beta(n+1-u, u) >= t) = Pr(Bin(n, 1-t) >= u),
+
+    with t = 1.0 - alpha_target rounded exactly as the package rounds it.
+    Sums the upper binomial tail directly, where ``beta_survival_int``
+    takes the complement of the tail at t."""
+    return binom_tail(n, 1 - Fraction(1.0 - alpha_target), u)
 
 
 def reg_inc_beta_int(x, a: int, b: int) -> Fraction:

@@ -14,7 +14,7 @@ from ssbc.adjust import (
     ssbc_adjust,
 )
 from ssbc.coverage import CalibrationContext, CoverageRegime, tail_prob
-from ssbc.mondrian import DegenerateRungError, MondrianSpec, budget_success_prob, ssbc_mondrian
+from ssbc.mondrian import MondrianSpec, budget_success_prob, ssbc_mondrian
 
 from oracles import full_scan, ssbc_scan_infinite
 
@@ -33,7 +33,7 @@ def _assert_matches_scan(report, best, skipped, note):
 
 class TestSearchGrid:
     def test_answer_and_evaluation_bound(self):
-        for u_hi in (0, 1, 2, 10**6):
+        for u_hi in (0, 1, 2, 3, 7, 8, 10**6):
             # "none pass", "answer at 1", an interior answer, "all pass"
             for u_star in sorted({0, min(1, u_hi), u_hi // 3, max(0, u_hi - 1), u_hi}):
                 calls = []
@@ -45,7 +45,7 @@ class TestSearchGrid:
                 got = search_grid(tail, u_hi, 0.0)
                 assert got == (None if u_star == 0 else (u_star, 0.0))
                 assert all(1 <= u <= u_hi for u in calls)
-                assert len(calls) <= (math.ceil(math.log2(u_hi)) + 2 if u_hi else 0)
+                assert len(calls) <= math.ceil(math.log2(u_hi + 1))
 
 
 class TestHighestGridIndexBelow:
@@ -155,11 +155,10 @@ class TestSsbcAdjust:
             skipped = []
 
             def p_good(u):
-                try:
-                    return budget_success_prob(spec, u)
-                except DegenerateRungError:
+                if u == spec.n_j:  # outside budget_success_prob's domain
                     skipped.append(u)
                     return -math.inf
+                return budget_success_prob(spec, u)
 
             highest = highest_grid_index_below(spec.alpha_target, spec.n_j)
             best = full_scan(p_good, highest, 1.0 - spec.delta)
@@ -209,6 +208,34 @@ class TestSsbcAdjust:
             first_below = 1 / (n + 1) < alpha_target
             first_passes = first_below and (1 - alpha_target) ** n <= delta + 1e-13
             assert report.feasible == (first_below and first_passes)
+
+    def test_infinite_answers_are_binomial_quantiles(self):
+        # With t = 1.0 - alpha_target, Pr(Beta(n+1-u, u) >= t) = Pr(Bin(n, 1-t) >= u),
+        # so u* is the largest u <= u_hi with Pr(Bin(n, 1-t) <= u-1) <= delta.
+        # scipy's binomial CDF shares no code with the package.
+        binom = pytest.importorskip("scipy.stats").binom
+        rng = random.Random(37)
+        ties = 0
+        for _ in range(400):
+            n = round(10 ** rng.uniform(1, 8))
+            alpha_target, delta = rng.uniform(0.01, 0.5), rng.uniform(0.01, 0.3)
+            report = ssbc_adjust(
+                CalibrationContext(n, alpha_target, delta), CoverageRegime.infinite()
+            )  # a kernel that does not converge raises RuntimeError here
+            p = 1 - (1.0 - alpha_target)  # exact: 1.0 - alpha_target >= 0.5
+            u_hi = highest_grid_index_below(alpha_target, n)
+            got = report.u_star or 0
+            # rung got passes and rung got + 1 fails, where they are rungs;
+            # the binomial CDF is nondecreasing, so got is the largest
+            decisions = [
+                (u == got, binom.cdf(u - 1, n, p)) for u in (got, got + 1) if 1 <= u <= u_hi
+            ]
+            if any(abs(cdf - delta) < 2e-15 * (n + 1) for _, cdf in decisions):
+                ties += 1  # closer than the beta_survival contract can decide
+                continue
+            for passes, cdf in decisions:
+                assert (cdf <= delta) == passes, (n, alpha_target, delta, got)
+        assert ties <= 4
 
 
 class TestDkwmAdjust:

@@ -9,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssbc.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from ssbc.serialize import canonical_json
@@ -133,17 +135,35 @@ class TestAdjustCommand:
         assert "alpha" in err
 
     def test_kernel_failure_is_an_error_not_a_traceback(self):
-        # The continued fraction does not converge at these shapes; the CLI
-        # must still end with a message and exit 1.
+        # The continued fraction does not converge at a rung this search
+        # evaluates; the CLI must still end with a message and exit 1.
         proc = run_fresh(
             "import sys\n"
             "from ssbc.cli import main\n"
-            "sys.exit(main(['adjust', '--n', '73548323', '--alpha', '0.215781402',"
-            " '--delta', '0.131813346', '--regime', 'inf']))\n"
+            "sys.exit(main(['adjust', '--n', '100000000', '--alpha', '0.3',"
+            " '--delta', '0.45', '--regime', 'inf']))\n"
         )
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "n, alpha, delta, u_star",
+        [
+            # scipy: Pr(Bin(n, 1-t) <= u*-1) = 0.13180636 <= delta < 0.13186692 at u*
+            ("73548323", "0.215781402", "0.131813346", 15866417),
+            # scipy: 0.09997182 <= delta < 0.10001012
+            ("100000000", "0.3", "0.1", 29994127),
+        ],
+    )
+    def test_large_n_answers(self, capsys, n, alpha, delta, u_star):
+        # the search never evaluates the top rung, where the continued
+        # fraction does not converge at these sizes
+        code, out, _ = run_cli(
+            capsys, "adjust", "--n", n, "--alpha", alpha, "--delta", delta, "--regime", "inf"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["u_star"] == u_star
 
     def test_overflow_is_an_error_not_a_traceback(self):
         # Inputs beyond the range of a double overflow inside the float
@@ -398,6 +418,12 @@ class TestCanonicalJson:
         second = canonical_json(json.loads(first))
         assert first == second
 
+    @given(st.text(st.characters(codec=None, exclude_categories=())))
+    @settings(max_examples=500)
+    def test_strings_quote_as_json_dumps(self, text):
+        # control characters, quotes, backslashes, DEL, non-ASCII, surrogates
+        assert canonical_json({text: text}) == json.dumps({text: text})
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             canonical_json(float("inf"))
@@ -432,8 +458,7 @@ class TestHelp:
 MC_NAMES = ("MethodReport", "SimConfig", "SimReport", "run_simulation", "theory_overlay")
 
 PUBLIC_API = {
-    "AdjustmentReport", "CalibrationContext", "CoverageRegime", "DegenerateRungError",
-    "FeasibilityReport",
+    "AdjustmentReport", "CalibrationContext", "CoverageRegime", "FeasibilityReport",
     "METHOD_DKWM", "METHOD_SSBC", "MethodReport", "MondrianSpec", "Rung", "RungTable",
     "SimConfig", "SimReport", "alpha_star_exact_finite", "alpha_star_infinite",
     "alpha_star_laplace", "beta_survival", "betabinom_cdf", "betabinom_pmf",
@@ -455,7 +480,8 @@ class TestImports:
 
     def test_analytic_commands_never_load_numpy(self):
         # Each subcommand, in its own interpreter, loads exactly the ssbc
-        # modules it runs, and neither numpy nor dataclasses (with inspect).
+        # modules it runs, and neither numpy, dataclasses (with inspect) nor
+        # json.
         shared = {"ssbc", "ssbc.cli", "ssbc.serialize", "ssbc.coverage", "ssbc.specfun"}
         cases = [
             (["adjust", "--n", "25", "--alpha", "0.5", "--delta", "0.1", "--regime", "inf"],
@@ -480,7 +506,8 @@ class TestImports:
                     assert ssbc.cli.main({argv!r}) == 0
                 ours = {{name for name in sys.modules if name.split(".")[0] == "ssbc"}}
                 assert ours == {shared | own!r}, sorted(ours)
-                banned = {{"numpy", "dataclasses", "inspect", "concurrent.futures.process"}}
+                banned = {{"numpy", "dataclasses", "inspect", "json",
+                           "concurrent.futures.process"}}
                 assert not banned & set(sys.modules), banned & set(sys.modules)
             """)
 

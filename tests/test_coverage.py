@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from ssbc.coverage import (
 )
 from ssbc.specfun import beta_survival, betabinom_survival
 
-from oracles import bb_survival, bb_window_tail, beta_survival_int
+from oracles import bb_survival, bb_window_tail, beta_survival_int, binom_rung_tail
 
 
 class TestSnapping:
@@ -178,6 +179,18 @@ class TestTailProb:
             expected = float(beta_survival_int(1 - alpha, n + 1 - u, u))
             tail = tail_prob(n, u, CoverageRegime.infinite(), alpha)
             assert tail == pytest.approx(expected, abs=1e-11)
+
+    def test_upper_binomial_tail_identity(self):
+        # Pr(Beta(n+1-u, u) >= t) = Pr(Bin(n, 1-t) >= u), within the
+        # beta_survival contract 2e-15 * (a + b)
+        rng = random.Random(31)
+        for _ in range(300):
+            n = rng.randint(1, 120)
+            u = rng.randint(1, n)
+            alpha = rng.uniform(0.001, 0.999)
+            exact = binom_rung_tail(n, u, alpha)
+            tail = tail_prob(n, u, CoverageRegime.infinite(), alpha)
+            assert abs(tail - exact) <= 2e-15 * (n + 1), (n, u, alpha)
 
 
 class TestCalibrationContext:

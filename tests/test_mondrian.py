@@ -8,7 +8,6 @@ import pytest
 from ssbc.adjust import ssbc_adjust
 from ssbc.coverage import CalibrationContext, CoverageRegime
 from ssbc.mondrian import (
-    DegenerateRungError,
     MondrianSpec,
     budget_success_prob,
     class_count_predictive,
@@ -16,7 +15,13 @@ from ssbc.mondrian import (
     ssbc_mondrian,
 )
 
-from oracles import bb_pmf, error_count_conditional, joint_predictive, miscoverage_count
+from oracles import (
+    DegenerateRungError,
+    bb_pmf,
+    error_count_conditional,
+    joint_predictive,
+    miscoverage_count,
+)
 
 
 def _p_good_brute_force(spec: MondrianSpec, s_j: int) -> float:
@@ -222,7 +227,8 @@ class TestBudgetSuccessProb:
 
     def test_degenerate_rung_rejected(self):
         spec = MondrianSpec(k=30, k_j=10, n_j=5, m=10, alpha_target=0.9, delta=0.2)
-        with pytest.raises(DegenerateRungError):
+        # Beta(s_j, n_j - s_j) is undefined at s_j = u = n_j
+        with pytest.raises(ValueError, match=r"rung u must be an integer in \[1, 4\], got 5"):
             budget_success_prob(spec, 5)
 
 
