@@ -4,7 +4,12 @@ Each run draws a fresh calibration set and a fresh inference window from
 the chosen score model, thresholds at each method's level, and records the
 window coverage.  Every run gets its own random stream derived from
 (seed, run_index), so reports are byte-identical no matter how many worker
-processes execute the runs.
+processes execute the runs, and to those of earlier versions.  Runs are
+counted a block at a time: each run fills one row of a block, and the sort,
+the comparisons and the histogram update are done once per block.
+
+``numpy.random`` is reached only inside the counting kernel, so a process
+that hands every run to worker processes never loads it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ from .specfun import betabinom_pmf_vector
 
 SCORE_MODELS = ("abs_cauchy", "abs_normal", "uniform")
 METHOD_NAMES = ("none", "ssbc", "dkwm")
+# Draws per block of runs: a worker holds 256 KiB of draws at a time, or one
+# run's draws if they are larger.
+BLOCK_DRAWS = 1 << 15
 
 
 class SimConfig(Record):
@@ -115,32 +123,69 @@ class SimReport(Record):
         }
 
 
-def _draw_scores(rng: np.random.Generator, score_model: str, size: int) -> np.ndarray:
+def _draw_scores(rng: np.random.Generator, score_model: str, out: np.ndarray) -> None:
+    """Fill out with one run's raw draws: standard normals for abs_normal,
+    uniforms on [0, 1) otherwise; :func:`_to_scores` maps them to scores."""
+    if score_model == "abs_normal":
+        rng.standard_normal(out=out)
+    else:
+        rng.random(out=out)
+
+
+def _to_scores(draws: np.ndarray, score_model: str) -> None:
+    """Map raw draws to scores in place.  Each ufunc is elementwise, so a
+    block of runs gets the values each run's row would get alone."""
     if score_model == "abs_cauchy":
         # |tan(pi (U - 1/2))| is a standard Cauchy folded at zero
-        return np.abs(np.tan(np.pi * (rng.random(size) - 0.5)))
-    if score_model == "abs_normal":
-        return np.abs(rng.standard_normal(size))
-    return rng.random(size)
+        draws -= 0.5
+        draws *= np.pi
+        np.tan(draws, out=draws)
+    if score_model != "uniform":
+        np.abs(draws, out=draws)
+
+
+def _words(value: int) -> list[int]:
+    """The 32-bit words of a nonnegative int, low word first; [0] for 0.
+    This is how numpy coerces an int seed to SeedSequence entropy."""
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
 
 
 def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -> np.ndarray:
     """Coverage histograms for runs [start, stop): row j is method j's
-    counts over coverage grid 0..m."""
+    counts over coverage grid 0..m.
+
+    Run r draws from the stream of ``np.random.default_rng((seed, r))``,
+    built here from the same SeedSequence entropy, which is cheaper.  Runs
+    are taken ``max(1, BLOCK_DRAWS // (n+m))`` at a time (fewer if the
+    range is shorter): each fills one row of the block, and then each
+    method's threshold comparison, count and histogram update is one array
+    operation over the whole block.
+    """
     n, m = config.n, config.m
+    random = np.random  # loads numpy.random in the process that counts
+    seed_words = _words(config.seed)
     hist = np.zeros((len(ks), m + 1), dtype=np.int64)
-    for run in range(start, stop):
-        rng = np.random.default_rng((config.seed, run))
-        draws = _draw_scores(rng, config.score_model, n + m)
-        calibration = np.sort(draws[:n])
-        window = draws[n:]
+    block = np.empty((min(max(1, BLOCK_DRAWS // (n + m)), stop - start), n + m))
+    for lo in range(start, stop, len(block)):
+        runs = range(lo, min(lo + len(block), stop))
+        draws = block[: len(runs)]
+        for row, run in zip(draws, runs):
+            entropy = np.array(seed_words + _words(run), dtype=np.uint32)
+            rng = random.Generator(random.PCG64(random.SeedSequence(entropy)))
+            _draw_scores(rng, config.score_model, row)
+        _to_scores(draws, config.score_model)
+        calibration, window = draws[:, :n], draws[:, n:]
+        calibration.sort(axis=1)
         for j, k in enumerate(ks):
             if k > n:
-                covered = m
+                hist[j, m] += len(runs)
             else:
                 # score equal to the threshold counts as covered
-                covered = int(np.count_nonzero(window <= calibration[k - 1]))
-            hist[j, covered] += 1
+                covered = np.count_nonzero(window <= calibration[:, k - 1 : k], axis=1)
+                hist[j] += np.bincount(covered, minlength=m + 1)
     return hist
 
 

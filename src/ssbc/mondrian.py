@@ -70,11 +70,16 @@ def budget_success_prob(spec: MondrianSpec, u: int) -> float:
     The cap uses the spec's target level while the error law uses the
     miscoverage count of the rung, which on the grid is s_j = u.  Raises
     ValueError unless 1 <= u <= n_j - 1: at u = n_j the law
-    Beta(s_j, n_j - s_j) is undefined.
+    Beta(s_j, n_j - s_j) is undefined, so n_j = 1 has no valid rung.
     The coupling of e_j and m_j is kept: each window's cap is evaluated
     under the conditional law for its own count, never under the marginal
     of e_j.
     """
+    if spec.n_j == 1:
+        raise ValueError(
+            "n_j = 1 has no rung with a defined error law: its only rung, "
+            "u = n_j = 1, gives Beta(1, 0), which is undefined"
+        )
     check_int("rung u", u, 1, spec.n_j - 1)
     count_pmf = class_count_predictive(spec)
     terms = [count_pmf[0]]  # an empty window always meets its budget

@@ -544,6 +544,18 @@ class TestImports:
             assert "concurrent.futures.process" not in sys.modules
         """)
 
+    def test_pooled_simulate_leaves_numpy_random_to_the_workers(self):
+        # the counting kernel reaches numpy.random lazily, so a parent that
+        # hands every run to worker processes never loads it
+        self.check("""
+            import sys
+            from ssbc.mc import SimConfig, run_simulation
+            config = SimConfig(n=20, m=30, alpha_target=0.1, delta=0.1, runs=50, seed=1)
+            assert run_simulation(config, workers=2).runs_completed == 50
+            assert "concurrent.futures.process" in sys.modules
+            assert "numpy.random" not in sys.modules
+        """)
+
     def test_mc_names_resolve_to_the_harness(self):
         self.check(f"""
             import sys

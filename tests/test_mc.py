@@ -1,13 +1,15 @@
 import concurrent.futures
+import hashlib
 import math
 import os
+import random
 
 import numpy as np
 import pytest
 
 from ssbc.coverage import CalibrationContext, CoverageRegime, window_threshold
 from ssbc.adjust import ssbc_adjust
-from ssbc.mc import SimConfig, run_simulation, theory_overlay
+from ssbc.mc import BLOCK_DRAWS, SimConfig, _count_runs, _words, run_simulation, theory_overlay
 from ssbc.serialize import canonical_json
 
 from oracles import bb_survival, method_report
@@ -181,3 +183,86 @@ class TestRunSimulation:
         requested.clear()
         run_simulation(few_runs, workers=8)
         assert requested == [3]
+
+
+class TestStreams:
+    ALL = ("none", "ssbc", "dkwm")
+    # sha256 of canonical_json(report.to_dict()), recorded with the kernel
+    # that drew each run from np.random.default_rng((seed, run)); a change
+    # to any run's stream or to the counting changes a digest
+    PINNED = [
+        (dict(n=40, m=60, alpha_target=0.1, delta=0.1, runs=700, seed=11,
+              score_model="abs_cauchy", methods=ALL),
+         "89b7c0503756f71e62f1e9e2fe6361d2b400b43b9014b1d05397fd75f00711cf"),
+        (dict(n=40, m=60, alpha_target=0.1, delta=0.1, runs=700, seed=12,
+              score_model="abs_normal", methods=ALL),
+         "4d0b5e549470c1232e9d88d24c864a5eb8ac5e601fe8a46f854d7653419334fd"),
+        (dict(n=40, m=60, alpha_target=0.1, delta=0.1, runs=700, seed=13,
+              score_model="uniform", methods=ALL),
+         "dd12bb1c13f0b6a8043c758d91ab66736e6a9a956161f5020854337dd05e7b77"),
+        # order index 6 > n: the everything set covers every window
+        (dict(n=5, m=10, alpha_target=0.1, delta=0.2, runs=300, seed=2**64 - 1,
+              methods=("none",)),
+         "8fba7c03f1c08597a8e94879596398812c33ecf883736b4c7adc7fd9abd17868"),
+        (dict(n=1, m=7, alpha_target=0.6, delta=0.3, runs=200, seed=2**32, methods=("none",)),
+         "3082f09251bd7eb1a811514e7c554fbb888a690a4d24b4d9b97f2a8996f77212"),
+        (dict(n=9, m=1, alpha_target=0.2, delta=0.3, runs=200, seed=7,
+              score_model="abs_normal", methods=("none", "ssbc")),
+         "04e41b594860ef26d2258726d8bda2290729d63dba07c965c8587eb8f8fdae30"),
+        # with BLOCK_DRAWS = 2**15, 1000 runs are 7 blocks of 131 runs and one of 83
+        (dict(n=100, m=150, alpha_target=0.3, delta=0.1, runs=1000, seed=2**40 + 3,
+              methods=ALL),
+         "2410375562464818112466f99605880578234fa8d0c28f0108269609c448d1a8"),
+        # one run's draws exceed BLOCK_DRAWS: one run per block
+        (dict(n=30000, m=5000, alpha_target=0.05, delta=0.1, runs=3, seed=5,
+              score_model="uniform", methods=("none", "ssbc")),
+         "95dc0e85e34a8707e7c1468a76ab14a22118cf67cae59feae726e13ae6aecfc6"),
+    ]
+
+    @pytest.mark.parametrize("case, digest", PINNED)
+    def test_pinned_report_bytes(self, case, digest):
+        report = run_simulation(SimConfig(**case))
+        assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == digest
+
+    @staticmethod
+    def per_run_loop(config, ks, start, stop):
+        """The counting kernel one run at a time, each run seeded by
+        default_rng((seed, run)): the reference for the blocked kernel."""
+        n, m = config.n, config.m
+        hist = np.zeros((len(ks), m + 1), dtype=np.int64)
+        for run in range(start, stop):
+            rng = np.random.default_rng((config.seed, run))
+            if config.score_model == "abs_cauchy":
+                draws = np.abs(np.tan(np.pi * (rng.random(n + m) - 0.5)))
+            elif config.score_model == "abs_normal":
+                draws = np.abs(rng.standard_normal(n + m))
+            else:
+                draws = rng.random(n + m)
+            calibration, window = np.sort(draws[:n]), draws[n:]
+            for j, k in enumerate(ks):
+                hist[j, m if k > n else np.count_nonzero(window <= calibration[k - 1])] += 1
+        return hist
+
+    def test_blocked_kernel_matches_per_run_loop(self):
+        rng = random.Random(1011)
+        for score_model in ("abs_cauchy", "abs_normal", "uniform"):
+            for _ in range(4):
+                n, m = rng.randint(1, 400), rng.randint(1, 400)
+                rows = BLOCK_DRAWS // (n + m)
+                start = rng.randint(0, 3 * rows)
+                stop = start + rng.randint(1, 2 * rows + 5)
+                config = SimConfig(n=n, m=m, alpha_target=0.1, delta=0.1, runs=stop,
+                                   seed=rng.randrange(2**64), score_model=score_model)
+                ks = (1, rng.randint(1, n), n, n + 1)
+                assert np.array_equal(
+                    _count_runs(config, ks, start, stop), self.per_run_loop(config, ks, start, stop)
+                ), (config, ks, start, stop)
+
+    def test_entropy_words_match_numpy_seeding(self):
+        for seed in (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1):
+            for run in (0, 1, 2**32):
+                words = np.array(_words(seed) + _words(run), dtype=np.uint32)
+                assert np.array_equal(
+                    np.random.SeedSequence(words).generate_state(4),
+                    np.random.SeedSequence((seed, run)).generate_state(4),
+                ), (seed, run)

@@ -231,6 +231,13 @@ class TestBudgetSuccessProb:
         with pytest.raises(ValueError, match=r"rung u must be an integer in \[1, 4\], got 5"):
             budget_success_prob(spec, 5)
 
+    def test_single_calibration_item_has_no_rung(self):
+        # with n_j = 1 the only rung is u = n_j, so no rung has an error law
+        spec = MondrianSpec(k=10, k_j=4, n_j=1, m=5, alpha_target=0.9, delta=0.5)
+        for u in (1, 0, 2):
+            with pytest.raises(ValueError, match=r"n_j = 1 has no rung .* u = n_j = 1"):
+                budget_success_prob(spec, u)
+
 
 class TestSsbcMondrian:
     def test_frozen_case(self):
