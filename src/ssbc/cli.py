@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="run ranges to split the work into, run by at most one process per CPU "
+        help="run ranges to split the work into, counted by at most one thread per CPU "
         "(default 1); does not affect results",
     )
     p_sim.add_argument("--format", choices=("json", "csv", "human"), default="json")

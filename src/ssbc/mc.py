@@ -2,14 +2,14 @@
 
 Each run draws a fresh calibration set and a fresh inference window from
 the chosen score model, thresholds at each method's level, and records the
-window coverage.  Every run gets its own random stream derived from
-(seed, run_index), so reports are byte-identical no matter how many worker
-processes execute the runs, and to those of earlier versions.  Runs are
-counted a block at a time: each run fills one row of a block, and the sort,
-the comparisons and the histogram update are done once per block.
-
-``numpy.random`` is reached only inside the counting kernel, so a process
-that hands every run to worker processes never loads it.
+window coverage.  The draws come from a counter-based stream: run r's
+uniforms are outputs ``r*w .. r*w + w - 1`` of SplitMix64 started at state
+``seed`` (Steele, Lea & Flood, OOPSLA 2014), with ``w`` the run's draw
+count, so any run's draws can be computed without the ones before it
+(Salmon et al., SC 2011).  Reports are therefore byte-identical however
+the runs are split among worker threads.  Runs are counted a block at a
+time: the draws, the score map, the sort, the comparisons and the histogram
+update are each a few array operations per block.
 """
 
 from __future__ import annotations
@@ -33,9 +33,17 @@ from .specfun import betabinom_pmf_vector
 
 SCORE_MODELS = ("abs_cauchy", "abs_normal", "uniform")
 METHOD_NAMES = ("none", "ssbc", "dkwm")
-# Draws per block of runs: a worker holds 256 KiB of draws at a time, or one
-# run's draws if they are larger.
+# Draws per block of runs: a thread holds 256 KiB of draws and as much
+# uint64 scratch at a time, or one run's worth of each if that is larger.
 BLOCK_DRAWS = 1 << 15
+
+# SplitMix64: output i of the generator whose state starts at s is the
+# xor-shift-multiply finalizer in _uniforms applied to s + (i + 1) * _GAMMA
+# mod 2**64.
+_GAMMA = 0x9E3779B97F4A7C15
+# The state increments of the first BLOCK_DRAWS outputs past a counter.
+_STEPS = np.arange(1, BLOCK_DRAWS + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+_STEPS.flags.writeable = False
 
 
 class SimConfig(Record):
@@ -123,65 +131,99 @@ class SimReport(Record):
         }
 
 
-def _draw_scores(rng: np.random.Generator, score_model: str, out: np.ndarray) -> None:
-    """Fill out with one run's raw draws: standard normals for abs_normal,
-    uniforms on [0, 1) otherwise; :func:`_to_scores` maps them to scores."""
-    if score_model == "abs_normal":
-        rng.standard_normal(out=out)
-    else:
-        rng.random(out=out)
+def _uniforms(seed: int, counter: int, state: np.ndarray, out: np.ndarray) -> None:
+    """Fill out with the uniforms at counters counter, counter+1, ... of
+    seed's stream: output i of SplitMix64 started at state ``seed``,
+    shifted right by 11 bits and scaled by 2**-53.  ``state`` is uint64
+    scratch of out's length; out is float64 and contiguous."""
+    for lo in range(0, len(state), BLOCK_DRAWS):
+        chunk = state[lo : lo + BLOCK_DRAWS]
+        # the offset is taken in Python ints; the per-word sums wrap mod 2**64
+        np.add(_STEPS[: len(chunk)], (seed + (counter + lo) * _GAMMA) % 2**64, out=chunk)
+    bits = out.view(np.uint64)  # out holds the shifted words until the end
+    np.right_shift(state, 30, out=bits)
+    state ^= bits
+    state *= 0xBF58476D1CE4E5B9
+    np.right_shift(state, 27, out=bits)
+    state ^= bits
+    state *= 0x94D049BB133111EB
+    np.right_shift(state, 31, out=bits)
+    state ^= bits
+    state >>= 11
+    np.multiply(state, 2.0**-53, out=out)
 
 
-def _to_scores(draws: np.ndarray, score_model: str) -> None:
-    """Map raw draws to scores in place.  Each ufunc is elementwise, so a
-    block of runs gets the values each run's row would get alone."""
+def _draw_width(n: int, m: int, score_model: str) -> int:
+    """Uniforms per run: n + m, rounded up to even for abs_normal, which
+    maps them in pairs."""
+    return n + m + (n + m) % 2 if score_model == "abs_normal" else n + m
+
+
+def _to_scores(draws: np.ndarray, score_model: str, scratch: np.ndarray) -> None:
+    """Map a block of uniforms, one run per row, to scores in place; every
+    step is elementwise within a row.  ``scratch`` is float64 with at least
+    half as many elements as draws."""
     if score_model == "abs_cauchy":
         # |tan(pi (U - 1/2))| is a standard Cauchy folded at zero
         draws -= 0.5
         draws *= np.pi
         np.tan(draws, out=draws)
-    if score_model != "uniform":
         np.abs(draws, out=draws)
-
-
-def _words(value: int) -> list[int]:
-    """The 32-bit words of a nonnegative int, low word first; [0] for 0.
-    This is how numpy coerces an int seed to SeedSequence entropy."""
-    words = [value & 0xFFFFFFFF]
-    while value := value >> 32:
-        words.append(value & 0xFFFFFFFF)
-    return words
+    elif score_model == "abs_normal":
+        # Box-Muller folded into the first quadrant: uniform j of a row (U1)
+        # and uniform j + w/2 (U2) become |X| = r cos f and |Y| = r sin f,
+        # with r = sqrt(-2 ln(1 - U1)) and f = (pi/2) U2.  One tan gives
+        # both, as cos f = 1 / sqrt(1 + tan^2 f): numpy's float64 tan
+        # costs about a quarter of its sin or cos.
+        half = draws.shape[1] // 2
+        radius, angle = draws[:, :half], draws[:, half:]
+        angle *= np.pi / 2
+        np.tan(angle, out=angle)
+        secant2 = scratch[: radius.size].reshape(radius.shape)
+        np.multiply(angle, angle, out=secant2)
+        secant2 += 1.0
+        np.negative(radius, out=radius)
+        np.log1p(radius, out=radius)
+        radius *= -2.0
+        radius /= secant2
+        np.sqrt(radius, out=radius)  # |X| = r cos f
+        angle *= radius  # |Y| = |X| tan f
 
 
 def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -> np.ndarray:
     """Coverage histograms for runs [start, stop): row j is method j's
     counts over coverage grid 0..m.
 
-    Run r draws from the stream of ``np.random.default_rng((seed, r))``,
-    built here from the same SeedSequence entropy, which is cheaper.  Runs
-    are taken ``max(1, BLOCK_DRAWS // (n+m))`` at a time (fewer if the
-    range is shorter): each fills one row of the block, and then each
-    method's threshold comparison, count and histogram update is one array
-    operation over the whole block.
+    Run r's draws are the uniforms at counters ``r*w .. r*w + w - 1`` of
+    the seed's stream (see :func:`_uniforms`), with ``w`` from
+    :func:`_draw_width`; its calibration scores are the first n of them
+    after the score map and its window scores the next m.  The draws
+    depend only on the counter, so the histograms of any split of a range
+    sum to those of the whole.  Runs are taken ``max(1, BLOCK_DRAWS // w)``
+    at a time (fewer if the range is shorter): each fills one row of the
+    block, and then each method's threshold comparison, count and
+    histogram update is one array operation over the whole block.
     """
     n, m = config.n, config.m
-    random = np.random  # loads numpy.random in the process that counts
-    seed_words = _words(config.seed)
+    width = _draw_width(n, m, config.score_model)
+    rows = min(max(1, BLOCK_DRAWS // width), stop - start)
+    # Two arrays per call: the generator state, which serves as the score
+    # map's scratch once the uniforms are made, and the block of draws,
+    # which holds the mixing temporaries before that.
+    state = np.empty(rows * width, dtype=np.uint64)
+    block = np.empty(rows * width, dtype=np.float64)
     hist = np.zeros((len(ks), m + 1), dtype=np.int64)
-    block = np.empty((min(max(1, BLOCK_DRAWS // (n + m)), stop - start), n + m))
-    for lo in range(start, stop, len(block)):
-        runs = range(lo, min(lo + len(block), stop))
-        draws = block[: len(runs)]
-        for row, run in zip(draws, runs):
-            entropy = np.array(seed_words + _words(run), dtype=np.uint32)
-            rng = random.Generator(random.PCG64(random.SeedSequence(entropy)))
-            _draw_scores(rng, config.score_model, row)
-        _to_scores(draws, config.score_model)
-        calibration, window = draws[:, :n], draws[:, n:]
+    for lo in range(start, stop, rows):
+        count = min(rows, stop - lo)
+        size = count * width
+        _uniforms(config.seed, lo * width, state[:size], block[:size])
+        draws = block[:size].reshape(count, width)
+        _to_scores(draws, config.score_model, state.view(np.float64))
+        calibration, window = draws[:, :n], draws[:, n : n + m]
         calibration.sort(axis=1)
         for j, k in enumerate(ks):
             if k > n:
-                hist[j, m] += len(runs)
+                hist[j, m] += count
             else:
                 # score equal to the threshold counts as covered
                 covered = np.count_nonzero(window <= calibration[:, k - 1 : k], axis=1)
@@ -204,9 +246,10 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
     """Execute the experiment and summarize per-method violation rates,
     coverage histograms, and theory overlays.
 
-    ``workers`` splits the runs into that many disjoint ranges, executed by
-    a process pool of at most ``os.cpu_count()`` processes; the result does
-    not depend on the worker count.
+    ``workers`` splits the runs into that many disjoint ranges, counted by
+    a thread pool of at most ``os.cpu_count()`` threads (numpy releases the
+    interpreter lock in the array operations); the result does not depend
+    on the worker count.
     """
     check_int("workers", workers)
     # Each method's adjusted level; an infeasible adjuster marks its method
@@ -232,15 +275,14 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
         if workers == 1:
             total = _count_runs(config, ks, 0, config.runs)
         else:
-            # Imported here: concurrent.futures.process and multiprocessing
-            # cost ~20 ms to load, and one worker needs neither.
-            from concurrent.futures import ProcessPoolExecutor
+            # Imported here: one worker needs no pool.
+            from concurrent.futures import ThreadPoolExecutor
 
             # More ranges than runs would only add empty ones.
             bounds = np.linspace(0, config.runs, min(workers, config.runs) + 1).astype(int)
             chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-            processes = min(os.cpu_count() or 1, len(chunks))
-            with ProcessPoolExecutor(max_workers=processes) as pool:
+            threads = min(os.cpu_count() or 1, len(chunks))
+            with ThreadPoolExecutor(max_workers=threads) as pool:
                 futures = [pool.submit(_count_runs, config, ks, lo, hi) for lo, hi in chunks]
                 for future in futures:
                     total += future.result()

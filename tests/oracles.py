@@ -4,6 +4,7 @@ The laws and scans use exact rational arithmetic only (``math.comb`` /
 ``math.factorial`` / ``Fraction``); they never touch the package's
 log-space evaluation paths, so agreement is a genuine two-route check.
 The last part holds helpers and references that only tests need: a
+pure-Python SplitMix64, the reference for the Monte Carlo stream; a
 per-method lookup in a simulation report, an exhaustive rung scan to check
 the bisecting grid search against, and the joint predictive law of the
 class-conditional budget, assembled pair by pair from the package's count
@@ -167,6 +168,25 @@ def total_variation(counts, pmf) -> float:
     """TV distance between a histogram (counts) and a pmf on the same grid."""
     total = sum(counts)
     return 0.5 * math.fsum(abs(c / total - p) for c, p in zip(counts, pmf))
+
+
+def splitmix64(state: int, i: int) -> int:
+    """Output i (from 0) of SplitMix64 whose state starts at ``state``, in
+    exact Python ints: the state after i + 1 steps of 0x9E3779B97F4A7C15,
+    passed through the xor-shift-multiply finalizer of Steele, Lea & Flood
+    (OOPSLA 2014)."""
+    mask = (1 << 64) - 1
+    z = (state + (i + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def stream_uniform(seed: int, counter: int) -> float:
+    """The Monte Carlo stream's uniform at ``counter``: the top 53 bits of
+    SplitMix64 output ``counter`` from state ``seed``, scaled by 2**-53
+    (exact, as 53-bit ints are floats)."""
+    return (splitmix64(seed, counter) >> 11) * 2.0**-53
 
 
 def method_report(report, name: str):

@@ -532,8 +532,12 @@ class TestImports:
                 assert getattr(value, "__module__", owner.__name__) == owner.__name__, name
         """)
 
+    # A simulate run draws with plain array operations and counts on
+    # threads, so it never needs numpy's generators or a process pool.
+    NOT_FOR_SIMULATE = ("numpy.random", "concurrent.futures.process", "multiprocessing")
+
     def test_one_worker_simulate_skips_the_process_pool(self):
-        self.check("""
+        self.check(f"""
             import contextlib, io, sys
             import ssbc.cli
             argv = ["simulate", "--n", "20", "--m", "30", "--alpha", "0.1", "--delta", "0.1",
@@ -541,19 +545,23 @@ class TestImports:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert ssbc.cli.main(argv) == 0
             assert "ssbc.mc" in sys.modules
-            assert "concurrent.futures.process" not in sys.modules
+            assert "concurrent.futures.thread" not in sys.modules
+            loaded = set({self.NOT_FOR_SIMULATE!r}) & set(sys.modules)
+            assert not loaded, loaded
         """)
 
-    def test_pooled_simulate_leaves_numpy_random_to_the_workers(self):
-        # the counting kernel reaches numpy.random lazily, so a parent that
-        # hands every run to worker processes never loads it
-        self.check("""
-            import sys
-            from ssbc.mc import SimConfig, run_simulation
-            config = SimConfig(n=20, m=30, alpha_target=0.1, delta=0.1, runs=50, seed=1)
-            assert run_simulation(config, workers=2).runs_completed == 50
-            assert "concurrent.futures.process" in sys.modules
-            assert "numpy.random" not in sys.modules
+    def test_pooled_simulate_loads_no_random_or_process_modules(self):
+        self.check(f"""
+            import contextlib, io, sys
+            import ssbc.cli
+            argv = ["simulate", "--n", "20", "--m", "30", "--alpha", "0.1", "--delta", "0.1",
+                    "--runs", "50", "--seed", "1", "--workers", "2",
+                    "--score-model", "abs_normal"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert ssbc.cli.main(argv) == 0
+            assert "concurrent.futures.thread" in sys.modules
+            loaded = set({self.NOT_FOR_SIMULATE!r}) & set(sys.modules)
+            assert not loaded, loaded
         """)
 
     def test_mc_names_resolve_to_the_harness(self):
