@@ -9,10 +9,11 @@ tail constraint at that rung yields the minimal certifiable target level.
 from __future__ import annotations
 
 import math
+from operator import truediv
 
 from .coverage import CoverageRegime, Record, check_int, check_unit, tail_prob
 
-# Most factors alpha_star_exact_finite multiplies before it gives up.
+# Most factors in alpha_star_exact_finite's first product; more is refused.
 MAX_PRODUCT_STEPS = 10**7
 
 
@@ -89,20 +90,20 @@ def alpha_star_infinite(n: int, delta: float) -> float:
     """Minimal certifiable target level for an infinite test stream:
     1 - delta^(1/n)."""
     _validate(n, delta)
-    return 1.0 - delta ** (1.0 / n)
+    return -math.expm1(math.log(delta) / n)
 
 
 def grid_implementable(n: int, delta: float) -> tuple[bool, float]:
     """Whether the continuous threshold lies on or above the first grid
     rung: delta <= (n/(n+1))^n.  Returns (implementable, delta_max)."""
     _validate(n, delta)
-    delta_max = (n / (n + 1.0)) ** n
+    delta_max = math.exp(n * math.log1p(-1 / (n + 1)))
     return delta <= delta_max, delta_max
 
 
 def alpha_star_laplace(n: int, delta: float, m: int) -> float:
-    """Published finite-window heuristic:
-    1 - delta^(1/n) + sqrt(delta^(1/n) (1 - delta^(1/n)) / (2 pi m)).
+    """Published finite-window heuristic a + sqrt(a (1 - a) / (2 pi m)),
+    with a = alpha_star_infinite(n, delta).
 
     This is not an asymptotic expansion of :func:`alpha_star_exact_finite`:
     the exact threshold departs from :func:`alpha_star_infinite` by O(1/m)
@@ -110,42 +111,41 @@ def alpha_star_laplace(n: int, delta: float, m: int) -> float:
     """
     _validate(n, delta)
     check_int("m", m)
-    root = delta ** (1.0 / n)
-    return 1.0 - root + math.sqrt(root * (1.0 - root) / (2.0 * math.pi * m))
+    a = alpha_star_infinite(n, delta)
+    return a + math.sqrt((1.0 - a) * a / (2.0 * math.pi * m))
 
 
 def alpha_star_exact_finite(n: int, delta: float, m: int) -> float:
     """Exact finite-window threshold on the coverage lattice.
 
-    Finds the largest integer x* with Pr(X >= x*) >= 1 - delta for
-    X ~ Beta-Binomial(m; n, 1) and reports alpha* = 1 - x*/m, the left edge
-    of the passing step (the tail is a step function of alpha, so this is
-    exact, quantized to the 1/m lattice).  With x* = m - c the condition
-    reads Pr(X <= m-c-1) <= delta, and for this law
-    Pr(X <= m-c-1) = prod_{i=0..c} (m-i)/(n+m-i), so the smallest passing c
-    comes from a running product, without the pmf.  It needs about
-    (n+m)(1 - delta^(1/n)) factors, so past MAX_PRODUCT_STEPS factors it
-    stops with a ValueError instead of running without bound.  The factors
-    shrink with c, so when even the K-th one (K = MAX_PRODUCT_STEPS) to the
-    power K stays above delta, with a margin for rounding, the loop could
-    not end in time and is not run.
+    Finds the largest integer x* = m - c with Pr(X >= x*) >= 1 - delta for
+    X ~ Beta-Binomial(m; n, 1), that is P(c) = Pr(X <= m-c-1) <= delta, and
+    reports alpha* = 1 - x*/m, the left edge of the passing step.  P(c) is
+    prod_{i=0..c} (m-i)/(n+m-i) = prod_{i=1..n} (1 - (c+1)/(m+i)).  The
+    second form lies between (1 - (c+1)/(m+1))^n and (1 - (c+1)/(m+n))^n,
+    so with a = alpha_star_infinite(n, delta) the smallest passing c is in
+    [(m+1) a - 1, (m+n) a].  One product, in the form with fewer factors,
+    is taken at c = ceil((m+1) a) - 3, two steps early for rounding, and
+    the first form walks on for at most about ln(1/delta) + 5 steps.  A
+    ValueError refuses a start past 2**52, where rounding can exceed the
+    two steps, or a first product over MAX_PRODUCT_STEPS factors.
     """
     _validate(n, delta)
     check_int("m", m)
-    steps = MAX_PRODUCT_STEPS
-    hopeless = m > steps and steps * math.log1p(-n / (n + m - steps + 1)) > math.log(delta) + 1e-8
-    lower_tail = 1.0
-    for c in range(0 if hopeless else min(m, steps)):
+    start = (m + 1) * alpha_star_infinite(n, delta)
+    c = max(0, math.ceil(start) - 3)
+    if start > 2**52 or min(n, c + 1) > MAX_PRODUCT_STEPS:
+        raise ValueError(f"the exact finite-window threshold for n={n}, delta={delta!r}, m={m} "
+                         f"starts at c={c}; the limits are 2**52 and {MAX_PRODUCT_STEPS} factors")
+    if c < n:  # (m-i)/(n+m-i) for i = 0..c
+        factors = map(truediv, range(m, m - c - 1, -1), range(n + m, n + m - c - 1, -1))
+    else:  # (m-c-1+i)/(m+i) for i = 1..n
+        factors = map(truediv, range(m - c, m - c + n), range(m + 1, m + n + 1))
+    lower_tail = math.prod(factors)
+    while lower_tail > delta:
+        c += 1
         lower_tail *= (m - c) / (n + m - c)
-        if lower_tail <= delta:
-            return 1.0 - (m - c) / m
-    if m > steps:
-        raise ValueError(
-            f"the exact finite-window threshold needs more than {steps} steps "
-            f"for n={n}, delta={delta!r}, m={m}"
-        )
-    # c = m (x* = 0) always passes, since Pr(X <= -1) = 0.
-    return 1.0
+    return 1.0 - (m - c) / m
 
 
 def rung_table(n: int, alpha_target: float, regime: CoverageRegime) -> RungTable:

@@ -157,6 +157,22 @@ def window_threshold_count(n: int, delta, m: int) -> int:
     return 0
 
 
+def window_threshold_bisect(n: int, delta, m: int) -> int:
+    """Smallest c in [0, m] with C(n+m-c-1, n) <= delta * C(n+m, n), i.e.
+    Pr(X <= m-c-1) <= delta for X ~ Beta-Binomial(m; n, 1), by exact
+    bisection; x* = m - c.  c = m qualifies, since C(n-1, n) = 0."""
+    exact = Fraction(delta)
+    total = comb(n + m, n)
+    lo, hi = 0, m
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if comb(n + m - mid - 1, n) * exact.denominator <= exact.numerator * total:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def ols_slope_through_origin(pairs) -> float:
     """Least-squares slope of y on x with zero intercept."""
     sxy = math.fsum(x * y for x, y in pairs)

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -28,11 +29,11 @@ def fresh_env() -> dict:
     return env
 
 
-def run_fresh(code: str) -> subprocess.CompletedProcess:
+def run_fresh(code: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """Run ``code`` in a new interpreter.  The test process itself has numpy
     loaded, so import checks need one."""
     return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=fresh_env(),
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def run_cli(capsys, *argv):
@@ -224,27 +225,80 @@ class TestFeasibleCommand:
         assert data["alpha_star_m"] == pytest.approx(0.05, abs=1e-10)
         assert data["alpha_star_m_laplace"] == pytest.approx(0.05327830114, rel=1e-9)
 
-    def test_hopeless_window_is_refused_at_once(self, capsys):
-        # Even the product's first 10^7 factors stay above delta, so it is
-        # refused before they are multiplied, which takes seconds.
-        start = time.perf_counter()
-        code, _, err = run_cli(capsys, "feasible", "--n", "1", "--delta", "0.5",
-                               "--m", "1000000000000")
-        assert time.perf_counter() - start < 0.5
-        assert code == EXIT_USAGE
-        assert err.startswith("error: ")
+    def test_grid_bound_at_huge_n(self, capsys):
+        # (n/(n+1))^n -> 1/e, an independent route to delta_max at n = 1e17.
+        # JSON prints 12 digits, so the 1e-15 bound is checked on the value.
+        from ssbc.feasibility import grid_implementable
 
+        code, out, _ = run_cli(capsys, "feasible", "--n", str(10**17), "--delta", "0.5")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["implementable"] is False
+        assert data["delta_max_grid"] == float(format(math.exp(-1), ".12g"))
+        assert abs(grid_implementable(10**17, 0.5)[1] - math.exp(-1)) <= 1e-15
+
+    def test_large_window_answers_at_once(self, capsys):
+        # The search starts next to the proven bound, so a window of 10^12
+        # takes a few factors; the exact answer is x* = floor((m+1)/2).
+        m = 10**12
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "feasible", "--n", "1", "--delta", "0.5", "--m", str(m))
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_OK
+        assert json.loads(out)["alpha_star_m"] == 1.0 - ((m + 1) // 2) / m == 0.5
 
     def test_huge_window_is_an_error_within_seconds(self):
-        # The running product would need ~5e11 steps; it stops at its cap.
-        proc = subprocess.run(
-            [sys.executable, "-m", "ssbc.cli", "feasible", "--n", "1", "--delta", "0.5",
-             "--m", "1000000000000"],
-            env=fresh_env(), capture_output=True, text=True, timeout=5,
-        )
-        assert proc.returncode == EXIT_USAGE
-        assert proc.stderr.startswith("error: ")
+        # A first product over the 10^7-factor cap, and a start beyond 2**52,
+        # are refused before any product is taken.
+        for n, m in [("100000000", "1000000000000000000"), ("1", "100000000000000000")]:
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "ssbc.cli", "feasible", "--n", n, "--delta", "0.5",
+                 "--m", m],
+                env=fresh_env(), capture_output=True, text=True, timeout=5,
+            )
+            assert time.perf_counter() - start < 1, (n, m)
+            assert proc.returncode == EXIT_USAGE, (n, m)
+            assert proc.stderr.startswith("error: "), (n, m)
+            assert "Traceback" not in proc.stderr
+
+    def test_fuzzed_inputs_answer_or_fail_within_seconds(self):
+        # Log-uniform over n in [1, 1e18], m in [1, 1e30] and delta in
+        # [1e-300, 0.999]: each call answers, or ends in exit 1 with a
+        # message, within 10 s; a first product at its cap takes up to ~5.5 s
+        # when its integers pass 2**53.  An m beyond a double ends in exit 1
+        # through OverflowError.
+        proc = run_fresh("""
+            import contextlib, io, json, math, random, time
+            from ssbc.cli import main
+            rng = random.Random(1318)
+            argvs = [
+                ["feasible", "--n", str(int(10 ** rng.uniform(0, 18))),
+                 "--delta", repr(10 ** rng.uniform(-300, math.log10(0.999))),
+                 "--m", str(int(10 ** rng.uniform(0, 30)))]
+                for _ in range(60)
+            ]
+            argvs.append(["feasible", "--n", "50", "--delta", "0.1", "--m", str(10**400)])
+            answered = 0
+            for argv in argvs:
+                out, err = io.StringIO(), io.StringIO()
+                start = time.perf_counter()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                elapsed = time.perf_counter() - start
+                assert elapsed < 10, (argv, elapsed)
+                if code == 0:
+                    answered += 1
+                    assert 0.0 <= json.loads(out.getvalue())["alpha_star_m"] <= 1.0, argv
+                else:
+                    assert code == 1, (argv, code)
+                    assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+            assert code == 1 and "float" in err.getvalue(), err.getvalue()
+            print(f"{answered} of {len(argvs)} fuzzed feasible calls answered")
+        """, timeout=300)
+        assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
+        print(proc.stdout.strip())
 
 
 class TestRungsCommand:

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,7 @@ from ssbc.feasibility import (
     rung_table,
 )
 
-from oracles import bb_window_tail, window_threshold_count
+from oracles import bb_window_tail, window_threshold_bisect, window_threshold_count
 
 
 class TestClosedForms:
@@ -43,6 +44,21 @@ class TestClosedForms:
     def test_laplace_recovers_infinite_limit(self):
         base = alpha_star_infinite(50, 0.1)
         assert alpha_star_laplace(50, 0.1, 10**12) == pytest.approx(base, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [10**6, 10**9, 10**12, 10**17])
+    def test_large_n_matches_mpmath(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            _, delta_max = grid_implementable(n, 0.1)
+            exact_max = mpmath.power(mpmath.mpf(n) / (n + 1), n)
+            assert delta_max == pytest.approx(float(exact_max), rel=1e-14, abs=0)
+            for delta in (0.999, 0.5, 0.1, 1e-300):
+                a = 1 - mpmath.power(mpmath.mpf(delta), mpmath.mpf(1) / n)
+                assert alpha_star_infinite(n, delta) == pytest.approx(float(a), rel=1e-14, abs=0)
+                for m in (1, 10**6):
+                    laplace = a + mpmath.sqrt(a * (1 - a) / (2 * mpmath.pi * m))
+                    got = alpha_star_laplace(n, delta, m)
+                    assert got == pytest.approx(float(laplace), rel=1e-14, abs=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -83,21 +99,52 @@ class TestExactFinite:
         assert alpha_star_exact_finite(1, 0.05, 1) == 1.0  # 1/2 < 0.95
 
     def test_step_cap_keeps_answers_below_it(self, monkeypatch):
-        # n=1, delta=0.5, m=100: the product (100-c)/101 passes at c = 50,
-        # its 51st factor
-        assert alpha_star_exact_finite(1, 0.5, 100) == 0.5
-        # n=1, delta=0.05, m=3: no c < m passes, so x* = 0 after 3 factors
-        assert alpha_star_exact_finite(1, 0.05, 3) == 1.0
-        monkeypatch.setattr(feasibility, "MAX_PRODUCT_STEPS", 51)
-        assert alpha_star_exact_finite(1, 0.5, 100) == 0.5
-        monkeypatch.setattr(feasibility, "MAX_PRODUCT_STEPS", 50)
-        with pytest.raises(ValueError, match="more than 50 steps"):
-            alpha_star_exact_finite(1, 0.5, 100)
-        monkeypatch.setattr(feasibility, "MAX_PRODUCT_STEPS", 3)
-        assert alpha_star_exact_finite(1, 0.05, 3) == 1.0
-        monkeypatch.setattr(feasibility, "MAX_PRODUCT_STEPS", 2)
-        with pytest.raises(ValueError, match="more than 2 steps"):
-            alpha_star_exact_finite(1, 0.05, 3)
+        # The cap bounds the first product, min(n, c_start + 1) factors: the
+        # first form at (1000, 0.1, 10^4) and the second at (5, 0.3, 10^6).
+        for n, delta, m, factors in [(1000, 0.1, 10**4, 22), (5, 0.3, 10**6, 5)]:
+            c_start = max(0, math.ceil((m + 1) * alpha_star_infinite(n, delta)) - 3)
+            assert min(n, c_start + 1) == factors
+            answer = 1.0 - (m - window_threshold_bisect(n, delta, m)) / m
+            assert alpha_star_exact_finite(n, delta, m) == answer
+            monkeypatch.setattr(feasibility, "MAX_PRODUCT_STEPS", factors)
+            assert alpha_star_exact_finite(n, delta, m) == answer
+            monkeypatch.setattr(feasibility, "MAX_PRODUCT_STEPS", factors - 1)
+            with pytest.raises(ValueError, match=f"2\\*\\*52 and {factors - 1} factors"):
+                alpha_star_exact_finite(n, delta, m)
+            monkeypatch.undo()
+
+    def test_matches_exact_bisection(self):
+        # Seeded draws against the exact math.comb bisection on c.  A draw
+        # whose boundary P(c) lies within 1e-12 relative of delta is an
+        # exact-rational near tie that a float product cannot decide; it is
+        # skipped and counted.  Every draw also checks the proven bracket
+        # (m+1) a - 1 <= c* <= (m+n) a, with a = 1 - delta^(1/n) exactly.
+        rng = random.Random(1313)
+        draws = [(rng.randint(1, 300), int(10 ** rng.uniform(0, 6))) for _ in range(500)]
+        draws += [(rng.randint(1, 20), int(10 ** rng.uniform(0, 12))) for _ in range(500)]
+        skipped = 0
+        for n, m in draws:
+            if rng.random() < 0.5:
+                delta = rng.uniform(0.001, 0.999)
+            else:
+                delta = 10 ** rng.uniform(-300, -3)
+            c_star = window_threshold_bisect(n, delta, m)
+            exact = Fraction(delta)
+            total = math.comb(n + m, n)
+            # the pair P(c*) <= delta < P(c* - 1), as exact rationals
+            boundary = [c for c in (c_star - 1, c_star) if c >= 0]
+            if any(abs(Fraction(math.comb(n + m - c - 1, n), total) - exact) <= exact * 1e-12
+                   for c in boundary):
+                skipped += 1
+            else:
+                got = alpha_star_exact_finite(n, delta, m)
+                assert got == 1.0 - (m - c_star) / m, (n, delta, m)
+            # ((m - c*) / (m+1))^n <= delta <= ((m+n - c*) / (m+n))^n
+            num, den = exact.numerator, exact.denominator
+            assert (m - c_star) ** n * den <= num * (m + 1) ** n, (n, delta, m)
+            assert (m + n - c_star) ** n * den >= num * (m + n) ** n, (n, delta, m)
+        print(f"exact bisection: {skipped} of {len(draws)} draws skipped as near ties")
+        assert skipped <= 3
 
     def test_gap_vanishes_for_large_windows(self):
         base = alpha_star_infinite(50, 0.1)
