@@ -3,9 +3,10 @@
 With n calibration points and a level alpha on the grid {u/(n+1)}, the
 infinite-test coverage follows Beta(n+1-u, u); over a finite window of m
 test points the covered count follows Beta-Binomial(m; n+1-u, u).  The
-integer rung u is what the searches pass to :func:`tail_prob`; this module
-also owns the float snapping that keeps ceil/floor honest at exact grid
-points, and :class:`Record`, the base of the package's value types.
+integer rung u is what the searches pass to :func:`tail_prob`, the source
+of every tail the package decides on; this module also owns the float
+snapping that keeps ceil honest at exact grid points, and :class:`Record`,
+the base of the package's value types.
 """
 
 from __future__ import annotations
@@ -32,23 +33,14 @@ def check_unit(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
-def _snapped(value: float, scale: float, rounding) -> int:
-    nearest = round(value)
-    if abs(value - nearest) <= _SNAP_TOL * max(1.0, abs(scale)):
-        return int(nearest)
-    return rounding(value)
-
-
 def snapped_ceil(value: float, scale: float = 1.0) -> int:
     """ceil(value), except values within snapping distance of an integer
     are taken as that integer (representation noise must not shift the
     order statistic by one)."""
-    return _snapped(value, scale, math.ceil)
-
-
-def snapped_floor(value: float, scale: float = 1.0) -> int:
-    """floor(value) with the same integer snapping as :func:`snapped_ceil`."""
-    return _snapped(value, scale, math.floor)
+    nearest = round(value)
+    if abs(value - nearest) <= _SNAP_TOL * max(1.0, abs(scale)):
+        return int(nearest)
+    return math.ceil(value)
 
 
 class Record:

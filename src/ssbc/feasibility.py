@@ -120,7 +120,7 @@ def alpha_star_exact_finite(n: int, delta: float, m: int) -> float:
 
     Finds the largest integer x* = m - c with Pr(X >= x*) >= 1 - delta for
     X ~ Beta-Binomial(m; n, 1), that is P(c) = Pr(X <= m-c-1) <= delta, and
-    reports alpha* = 1 - x*/m, the left edge of the passing step.  P(c) is
+    reports alpha* = 1 - x*/m = c/m, the left edge of the passing step.  P(c) is
     prod_{i=0..c} (m-i)/(n+m-i) = prod_{i=1..n} (1 - (c+1)/(m+i)).  The
     second form lies between (1 - (c+1)/(m+1))^n and (1 - (c+1)/(m+n))^n,
     so with a = alpha_star_infinite(n, delta) the smallest passing c is in
@@ -145,7 +145,7 @@ def alpha_star_exact_finite(n: int, delta: float, m: int) -> float:
     while lower_tail > delta:
         c += 1
         lower_tail *= (m - c) / (n + m - c)
-    return 1.0 - (m - c) / m
+    return c / m
 
 
 def rung_table(n: int, alpha_target: float, regime: CoverageRegime) -> RungTable:

@@ -7,10 +7,11 @@ marginalizing the Binomial count over the Beta(k_j, k-k_j) confidence
 distribution gives a Beta-Binomial predictive for the count.  The per-item
 miscoverage rate is likewise uncertain: s_j observed miscoverages among n_j
 calibration points induce a Beta(s_j, n_j-s_j) law, and so a Beta-Binomial
-error count given the class count.  Summing the conditional error law
-against the count law prices the probability of staying within the
-per-window error budget, and the grid search accepts the largest rung whose
-budget success probability meets 1 - delta.
+error count given the class count: the miscovered count of the window
+coverage law at calibration size n_j - 1.  Summing its window tails against
+the count law prices the probability of staying within the per-window error
+budget, and the grid search accepts the largest rung whose budget success
+probability meets 1 - delta.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ from __future__ import annotations
 import math
 
 from .adjust import AdjustmentReport, grid_report, highest_grid_index_below, search_grid
-from .coverage import (
-    CalibrationContext, CoverageRegime, Record, check_int, check_unit, snapped_floor
-)
-from .specfun import betabinom_lower, betabinom_pmf_vector
+from .coverage import CalibrationContext, CoverageRegime, Record, check_int, check_unit, tail_prob
+from .specfun import betabinom_pmf_vector
 
 
 class MondrianSpec(Record):
@@ -56,16 +55,16 @@ def class_count_predictive(spec: MondrianSpec) -> list[float]:
     return counts
 
 
-def error_budget(alpha: float, r: int) -> int:
-    """Per-window error cap floor(alpha * r)."""
-    return snapped_floor(alpha * r, scale=max(1, r))
-
-
 def budget_success_prob(spec: MondrianSpec, u: int) -> float:
     """Probability that a window stays within the target error budget at
     rung u, the grid level u/(n_j+1):
     sum_r Pr(m_j = r) Pr(e_j <= floor(alpha_target r) | m_j = r),
     with e_j | m_j = r ~ Beta-Binomial(r; u, n_j - u).
+
+    The covered count r - e_j follows Beta-Binomial(r; n_j - u, u), the
+    window law at calibration size n_j - 1, and it reaches the window
+    threshold ceil((1 - alpha_target) r) exactly when e_j stays within the
+    cap, so each term is a :func:`ssbc.coverage.tail_prob` window tail.
 
     The cap uses the spec's target level while the error law uses the
     miscoverage count of the rung, which on the grid is s_j = u.  Raises
@@ -85,8 +84,8 @@ def budget_success_prob(spec: MondrianSpec, u: int) -> float:
     terms = [count_pmf[0]]  # an empty window always meets its budget
     for r in range(1, spec.m + 1):
         if count_pmf[r] > 0.0:
-            cap = min(error_budget(spec.alpha_target, r), r)
-            terms.append(count_pmf[r] * betabinom_lower(cap, r, float(u), float(spec.n_j - u)))
+            window = CoverageRegime.window(r)
+            terms.append(count_pmf[r] * tail_prob(spec.n_j - 1, u, window, spec.alpha_target))
     return min(1.0, math.fsum(terms))
 
 

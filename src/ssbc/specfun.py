@@ -17,8 +17,7 @@ Every function takes the law's parameters as plain numbers, in the order
 scipy.stats uses: the point, then the trial count m of a Beta-Binomial, then
 the shapes a and b.  The public law kernels validate them with one shared
 check (:func:`log_beta`, called per term, tests its shapes inline); the term
-routine and :func:`betabinom_lower` check nothing, so the loop over class
-counts in ``mondrian`` pays for no check per count.
+routine checks nothing.
 """
 
 from __future__ import annotations
@@ -185,17 +184,11 @@ def betabinom_pmf_vector(m: int, a: float, b: float) -> list[float]:
     return list(_betabinom_terms(m, a, b, 0, m + 1))
 
 
-def betabinom_lower(x: int, m: int, a: float, b: float) -> float:
-    """Pr(X <= x) for X ~ Beta-Binomial(m; a, b): :func:`betabinom_cdf`
-    without its argument checks."""
-    return math.fsum(_betabinom_terms(m, a, b, 0, x + 1))
-
-
 def betabinom_cdf(x: int, m: int, a: float, b: float) -> float:
     """Pr(X <= x) for X ~ Beta-Binomial(m; a, b), summed exactly over 0..x."""
     _check_law(a, b, m)
     check_int("x", x, 0, m)
-    return betabinom_lower(x, m, a, b)
+    return math.fsum(_betabinom_terms(m, a, b, 0, x + 1))
 
 
 def betabinom_survival(x_star: int, m: int, a: float, b: float) -> float:

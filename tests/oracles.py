@@ -8,8 +8,8 @@ pure-Python SplitMix64, the reference for the Monte Carlo stream; a
 per-method lookup in a simulation report, an exhaustive rung scan to check
 the bisecting grid search against, and the joint predictive law of the
 class-conditional budget, assembled pair by pair from the package's count
-law and its Beta-Binomial pmf (the package itself sums one error-count CDF
-per window count).
+law and its Beta-Binomial pmf (the package itself sums one window-coverage
+tail per window count).
 """
 
 from __future__ import annotations
@@ -232,6 +232,13 @@ def miscoverage_count(alpha: float, n_j: int) -> int:
     degenerate.  On the grid alpha = u/(n_j+1) it equals u.
     """
     return n_j - order_index(alpha, n_j) + 1
+
+
+def error_cap(alpha: float, r: int) -> int:
+    """The per-window error budget floor(alpha r), with alpha read as the
+    decimal it prints as, in exact rationals (0.29 of 100 is 29, although
+    0.29 * 100 floats to 28.999999999999996)."""
+    return math.floor(Fraction(str(alpha)) * r)
 
 
 def error_count_conditional(e: int, r: int, s_j: int, n_j: int) -> float:

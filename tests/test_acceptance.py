@@ -24,17 +24,12 @@ from ssbc.feasibility import (
     grid_implementable,
 )
 from ssbc.mc import SimConfig, run_simulation, theory_overlay
-from ssbc.mondrian import (
-    MondrianSpec,
-    budget_success_prob,
-    class_count_predictive,
-    error_budget,
-    ssbc_mondrian,
-)
+from ssbc.mondrian import MondrianSpec, budget_success_prob, class_count_predictive, ssbc_mondrian
 from ssbc.serialize import canonical_json
 from ssbc.specfun import betabinom_pmf_vector, reg_inc_beta
 
 from oracles import (
+    error_cap,
     error_count_conditional,
     joint_predictive,
     method_report,
@@ -337,7 +332,7 @@ def test_criterion_7_mondrian_sweep():
         for e in range(r + 1):
             marginal_e[e] += count_law[r] * error_count_conditional(e, r, 3, spec.n_j)
     miscomputed = math.fsum(
-        count_law[r] * math.fsum(marginal_e[: min(error_budget(spec.alpha_target, r), r) + 1])
+        count_law[r] * math.fsum(marginal_e[: error_cap(spec.alpha_target, r) + 1])
         for r in range(spec.m + 1)
     )
     gap = abs(coupled - miscomputed)

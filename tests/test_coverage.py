@@ -10,7 +10,6 @@ from ssbc.coverage import (
     CoverageRegime,
     order_index,
     snapped_ceil,
-    snapped_floor,
     tail_prob,
     window_threshold,
 )
@@ -23,12 +22,12 @@ class TestSnapping:
     def test_exact_products_do_not_drift(self):
         # (1 - 20/51) * 51 floats to 31.000000000000004; must not ceil to 32
         assert snapped_ceil((1 - 20 / 51) * 51, scale=51) == 31
-        # 0.29 * 100 floats to 28.999999999999996; must not floor to 28
-        assert snapped_floor(0.29 * 100, scale=100) == 29
+        # -0.29 * 100 floats to -28.999999999999996; must not ceil to -28
+        assert snapped_ceil(-0.29 * 100, scale=100) == -29
 
     def test_plain_values_unchanged(self):
         assert snapped_ceil(45.9, scale=51) == 46
-        assert snapped_floor(2.3, scale=23) == 2
+        assert snapped_ceil(-2.3, scale=23) == -2
 
 
 class TestOrderIndex:

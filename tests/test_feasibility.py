@@ -86,7 +86,7 @@ class TestExactFinite:
         ]
         for n, delta, m in cases:
             best = window_threshold_count(n, delta, m)
-            assert alpha_star_exact_finite(n, delta, m) == 1.0 - best / m, (n, delta, m)
+            assert alpha_star_exact_finite(n, delta, m) == (m - best) / m, (n, delta, m)
 
     def test_high_delta_hits_zero(self):
         # survival(m) = n/(n+m); with n=3, m=7 that is 0.3 >= 1-0.71
@@ -104,7 +104,7 @@ class TestExactFinite:
         for n, delta, m, factors in [(1000, 0.1, 10**4, 22), (5, 0.3, 10**6, 5)]:
             c_start = max(0, math.ceil((m + 1) * alpha_star_infinite(n, delta)) - 3)
             assert min(n, c_start + 1) == factors
-            answer = 1.0 - (m - window_threshold_bisect(n, delta, m)) / m
+            answer = window_threshold_bisect(n, delta, m) / m
             assert alpha_star_exact_finite(n, delta, m) == answer
             monkeypatch.setattr(feasibility, "MAX_PRODUCT_STEPS", factors)
             assert alpha_star_exact_finite(n, delta, m) == answer
@@ -138,7 +138,7 @@ class TestExactFinite:
                 skipped += 1
             else:
                 got = alpha_star_exact_finite(n, delta, m)
-                assert got == 1.0 - (m - c_star) / m, (n, delta, m)
+                assert got == c_star / m, (n, delta, m)
             # ((m - c*) / (m+1))^n <= delta <= ((m+n - c*) / (m+n))^n
             num, den = exact.numerator, exact.denominator
             assert (m - c_star) ** n * den <= num * (m + 1) ** n, (n, delta, m)

@@ -6,18 +6,14 @@ import numpy as np
 import pytest
 
 from ssbc.adjust import ssbc_adjust
-from ssbc.coverage import CalibrationContext, CoverageRegime
-from ssbc.mondrian import (
-    MondrianSpec,
-    budget_success_prob,
-    class_count_predictive,
-    error_budget,
-    ssbc_mondrian,
-)
+from ssbc.coverage import CalibrationContext, CoverageRegime, window_threshold
+from ssbc.mondrian import MondrianSpec, budget_success_prob, class_count_predictive, ssbc_mondrian
 
 from oracles import (
     DegenerateRungError,
     bb_pmf,
+    bb_window_tail,
+    error_cap,
     error_count_conditional,
     joint_predictive,
     miscoverage_count,
@@ -151,11 +147,26 @@ class TestJointPredictive:
 
 
 class TestErrorBudget:
+    # budget_success_prob caps a window of r class items at r - x*, with x*
+    # the window threshold ceil((1 - alpha) r); that is floor(alpha r)
     def test_floor_examples(self):
-        assert error_budget(0.1, 23) == 2
-        assert error_budget(0.1, 9) == 0
-        # 0.29 * 100 floats below 29; the snap keeps the exact cap
-        assert error_budget(0.29, 100) == 29
+        assert 23 - window_threshold(0.1, 23) == 2
+        assert 9 - window_threshold(0.1, 9) == 0
+        # 0.29 * 100 floats below 29; the snapped threshold keeps the exact cap
+        assert 100 - window_threshold(0.29, 100) == 29
+
+    def test_matches_decimal_floor(self):
+        # seeded decimal levels of 1 to 6 digits: the snapped float
+        # threshold gives the exact rational cap at every r up to 10^4
+        rng = random.Random(1515)
+        for _ in range(2000):
+            digits = rng.randint(1, 6)
+            alpha = rng.randint(1, 10**digits - 1) / 10**digits
+            r = int(10 ** rng.uniform(0, 4))
+            assert r - window_threshold(alpha, r) == error_cap(alpha, r), (alpha, r)
+        for r in (1, 7, 100, 9999, 10**4):
+            for alpha in (0.1, 0.29, 0.5, 0.7, 0.999999, 0.000001):
+                assert r - window_threshold(alpha, r) == error_cap(alpha, r), (alpha, r)
 
 
 class TestBudgetSuccessProb:
@@ -177,6 +188,33 @@ class TestBudgetSuccessProb:
         spec = MondrianSpec(k=30, k_j=10, n_j=20, m=10, alpha_target=0.25, delta=0.2)
         got = budget_success_prob(spec, 3)
         assert got == pytest.approx(_p_good_brute_force(spec, 3), abs=1e-9)
+
+    def test_matches_exact_window_mixture(self):
+        # Each window count r contributes Pr(m_j = r) times the window tail
+        # Pr(X >= r - floor(alpha r)), X ~ Beta-Binomial(r; n_j - u, u),
+        # taken here in exact rationals through the hypergeometric identity.
+        # Levels below 1/2 sum the error side of each law, levels from 1/2
+        # the covered side, so the draws take both.
+        rng = random.Random(1517)
+        for low_alpha in (True, False) * 30:
+            k = rng.randint(1, 120)
+            spec = MondrianSpec(
+                k=k,
+                k_j=rng.randint(0, k),
+                n_j=rng.randint(2, 80),
+                m=rng.randint(1, 60),
+                alpha_target=(rng.randint(1, 499) if low_alpha else rng.randint(500, 999)) / 1000,
+                delta=0.1,
+            )
+            count_pmf = class_count_predictive(spec)
+            for u in {1, rng.randint(1, spec.n_j - 1), spec.n_j - 1}:
+                exact = Fraction(count_pmf[0]) + sum(
+                    Fraction(count_pmf[r])
+                    * bb_window_tail(r - error_cap(spec.alpha_target, r), r, spec.n_j - 1, u)
+                    for r in range(1, spec.m + 1)
+                )
+                got = budget_success_prob(spec, u)
+                assert got == pytest.approx(float(exact), abs=1e-12), (spec, u)
 
     def test_nonincreasing_in_rung(self):
         # ssbc_mondrian bisects over the rungs, which is exact only if the
@@ -211,7 +249,7 @@ class TestBudgetSuccessProb:
             for e in range(r + 1):
                 marginal_e[e] += count_law[r] * error_count_conditional(e, r, s_j, spec.n_j)
         miscomputed = math.fsum(
-            count_law[r] * math.fsum(marginal_e[: min(error_budget(spec.alpha_target, r), r) + 1])
+            count_law[r] * math.fsum(marginal_e[: error_cap(spec.alpha_target, r) + 1])
             for r in range(spec.m + 1)
         )
         coupled = budget_success_prob(spec, 3)
@@ -255,7 +293,7 @@ class TestSsbcMondrian:
         assert report.u_star == 2
         assert report.achieved_tail == pytest.approx(0.928481343627918, abs=1e-10)
         # independent search over rungs with the exact single-column law
-        cap = error_budget(spec.alpha_target, spec.m)
+        cap = error_cap(spec.alpha_target, spec.m)
         best = None
         for u in range(1, 50):
             if u / 51 >= spec.alpha_target or u >= spec.n_j:

@@ -203,5 +203,5 @@ def test_reprs_match_the_former_dataclass_reprs():
     assert repr(feasibility_report(50, 0.1, 100)) == (
         "FeasibilityReport(n=50, delta=0.1, alpha_star_inf=0.045007413978564045, "
         "delta_max_grid=0.3715278821269618, implementable=True, m=100, "
-        "alpha_star_m=0.050000000000000044, alpha_star_m_laplace=0.05327830114049661)"
+        "alpha_star_m=0.05, alpha_star_m_laplace=0.05327830114049661)"
     )
