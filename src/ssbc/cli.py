@@ -296,8 +296,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, RuntimeError, OverflowError) as exc:
-        # RuntimeError: a special-function kernel that did not converge;
+    except (ValueError, OverflowError) as exc:
         # OverflowError: an input, or a value derived from it, beyond a double.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -145,7 +145,7 @@ def tail_prob(n: int, u: int, regime: CoverageRegime, alpha_target: float) -> fl
     check_int("calibration size n", n)
     check_int("rung u", u, 1, n)
     check_unit("alpha_target", alpha_target)
-    a, b = float(n + 1 - u), float(u)
+    a, b = n + 1 - u, u
     if not regime.is_window:
         return beta_survival(1.0 - alpha_target, a, b)
     m = regime.m

@@ -15,6 +15,8 @@ from .coverage import CoverageRegime, Record, check_int, check_unit, tail_prob
 
 # Most factors in alpha_star_exact_finite's first product; more is refused.
 MAX_PRODUCT_STEPS = 10**7
+# Most rows in a rung table (~1 s and ~120 MB as CLI JSON); more is refused.
+MAX_RUNGS = 10**5
 
 
 class Rung(Record):
@@ -149,8 +151,8 @@ def alpha_star_exact_finite(n: int, delta: float, m: int) -> float:
 
 
 def rung_table(n: int, alpha_target: float, regime: CoverageRegime) -> RungTable:
-    """Attainable delta at every rung u = 1..n for the given target."""
-    check_int("n", n)
+    """Attainable delta at every rung u = 1..n <= MAX_RUNGS for the target."""
+    check_int("n", n, 1, MAX_RUNGS)
     check_unit("alpha_target", alpha_target)
     rungs = tuple(
         Rung(u, u / (n + 1), attainable_delta=1.0 - tail_prob(n, u, regime, alpha_target))

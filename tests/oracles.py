@@ -126,6 +126,35 @@ def log_beta_int(a: int, b: int) -> float:
     return math.log(float(mantissa)) + shift * math.log(2.0)
 
 
+def binom_cdf_mp(n: int, x: float, ks, digits: int = 30) -> list[float]:
+    """Pr(Bin(n, x) <= k) for each k in ks, summed in mpmath at ``digits``
+    significant digits, with x exact.  The terms run out from the mode, by
+    the ratio p(v+1)/p(v) = (n-v) x / ((v+1)(1-x)), until they fall below
+    10^-(digits+10) of the mode's.  This checks the float kernel's rounding
+    at sizes no rational sum reaches; its formula is checked against
+    ``binom_tail`` at small n."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        p = mpmath.mpf(x)
+        odds = p / (1 - p)
+        tiny = mpmath.mpf(10) ** -(digits + 10)
+        mode = int((n + 1) * p)
+        terms = {mode: mpmath.mpf(1)}
+        term, v = mpmath.mpf(1), mode
+        while v < n and term > tiny:
+            term = term * (n - v) * odds / (v + 1)
+            v += 1
+            terms[v] = term
+        term, v = mpmath.mpf(1), mode
+        while v > 0 and term > tiny:
+            term = term * v / ((n - v + 1) * odds)
+            v -= 1
+            terms[v] = term
+        total = mpmath.fsum(terms.values())
+        return [float(mpmath.fsum(t for v, t in terms.items() if v <= k) / total) for k in ks]
+
+
 def ssbc_scan_infinite(n: int, alpha_target, delta):
     """Exhaustive SSBC grid scan for an infinite test stream.
 

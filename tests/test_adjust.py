@@ -221,7 +221,7 @@ class TestSsbcAdjust:
             alpha_target, delta = rng.uniform(0.01, 0.5), rng.uniform(0.01, 0.3)
             report = ssbc_adjust(
                 CalibrationContext(n, alpha_target, delta), CoverageRegime.infinite()
-            )  # a kernel that does not converge raises RuntimeError here
+            )
             p = 1 - (1.0 - alpha_target)  # exact: 1.0 - alpha_target >= 0.5
             u_hi = highest_grid_index_below(alpha_target, n)
             got = report.u_star or 0
@@ -230,8 +230,9 @@ class TestSsbcAdjust:
             decisions = [
                 (u == got, binom.cdf(u - 1, n, p)) for u in (got, got + 1) if 1 <= u <= u_hi
             ]
-            if any(abs(cdf - delta) < 2e-15 * (n + 1) for _, cdf in decisions):
-                ties += 1  # closer than the beta_survival contract can decide
+            # closer than the beta_survival contract plus scipy's own error
+            if any(abs(cdf - delta) < 1e-15 + 5e-17 * math.sqrt(n) for _, cdf in decisions):
+                ties += 1
                 continue
             for passes, cdf in decisions:
                 assert (cdf <= delta) == passes, (n, alpha_target, delta, got)

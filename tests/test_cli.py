@@ -136,16 +136,18 @@ class TestAdjustCommand:
         assert "alpha" in err
 
     def test_kernel_failure_is_an_error_not_a_traceback(self):
-        # The continued fraction does not converge at a rung this search
-        # evaluates; the CLI must still end with a message and exit 1.
+        # The binomial law of this search is too wide for the tail walk
+        # (variance above 2**34), which refuses it before any work; the CLI
+        # must end with that message and exit 1.
         proc = run_fresh(
             "import sys\n"
             "from ssbc.cli import main\n"
-            "sys.exit(main(['adjust', '--n', '100000000', '--alpha', '0.3',"
+            "sys.exit(main(['adjust', '--n', '100000000000', '--alpha', '0.3',"
             " '--delta', '0.45', '--regime', 'inf']))\n"
         )
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr.startswith("error: ")
+        assert "MAX_WALK_VARIANCE" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
@@ -155,16 +157,26 @@ class TestAdjustCommand:
             ("73548323", "0.215781402", "0.131813346", 15866417),
             # scipy: 0.09997182 <= delta < 0.10001012
             ("100000000", "0.3", "0.1", 29994127),
+            # scipy: 0.449950 <= delta < 0.450036
+            ("100000000", "0.3", "0.45", 29999424),
         ],
     )
     def test_large_n_answers(self, capsys, n, alpha, delta, u_star):
-        # the search never evaluates the top rung, where the continued
-        # fraction does not converge at these sizes
+        # the answers of scipy's binomial CDF, the bracket quoted with each
         code, out, _ = run_cli(
             capsys, "adjust", "--n", n, "--alpha", alpha, "--delta", delta, "--regime", "inf"
         )
         assert code == EXIT_OK
         assert json.loads(out)["u_star"] == u_star
+
+    def test_achieved_tail_is_right_to_every_printed_digit(self, capsys):
+        # scipy: Pr(Bin(n, 1-t) >= u*) = 0.8681936360149 at u* = 15866417
+        code, out, _ = run_cli(
+            capsys, "adjust", "--n", "73548323", "--alpha", "0.215781402",
+            "--delta", "0.131813346", "--regime", "inf",
+        )
+        assert code == EXIT_OK
+        assert '"achieved_tail": 0.868193636015,' in out
 
     def test_overflow_is_an_error_not_a_traceback(self):
         # Inputs beyond the range of a double overflow inside the float
@@ -295,6 +307,51 @@ class TestFeasibleCommand:
                     assert err.getvalue().startswith("error: "), (argv, err.getvalue())
             assert code == 1 and "float" in err.getvalue(), err.getvalue()
             print(f"{answered} of {len(argvs)} fuzzed feasible calls answered")
+        """, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        print(proc.stdout.strip())
+
+
+class TestInfiniteFuzz:
+    def test_fuzzed_inputs_answer_or_fail_within_seconds(self):
+        # adjust and rungs with --regime inf, log-uniform over n in [1, 1e18]
+        # (and n = 10**400), alpha in [1e-12, 0.999] and delta in
+        # [1e-300, 0.999]: each call answers, or ends in exit 1 with a
+        # message, within 10 s.  The tail walk refuses a law of variance
+        # above 2**34, and rungs a table of more than 10**5 rows.
+        proc = run_fresh("""
+            import contextlib, io, json, math, random, time
+            from ssbc.cli import main
+            rng = random.Random(1016)
+            def level(lo):
+                return repr(10 ** rng.uniform(lo, math.log10(0.999)))
+            argvs = []
+            for _ in range(40):
+                n = str(int(10 ** rng.uniform(0, 18)))
+                argvs.append(["adjust", "--n", n, "--alpha", level(-12), "--delta", level(-300),
+                              "--regime", "inf"] + ["--method", "dkwm"] * (rng.random() < 0.25))
+                n = str(int(10 ** rng.uniform(0, 18)))
+                argvs.append(["rungs", "--n", n, "--alpha", level(-12), "--regime", "inf",
+                              "--format", rng.choice(["json", "csv"])])
+            for command in (["adjust", "--delta", "0.1"], ["rungs"]):
+                argvs.append(command + ["--n", str(10**400), "--alpha", "0.1", "--regime", "inf"])
+            answered = 0
+            for argv in argvs:
+                out, err = io.StringIO(), io.StringIO()
+                start = time.perf_counter()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                elapsed = time.perf_counter() - start
+                assert elapsed < 10, (argv, elapsed)
+                if code in (0, 2):
+                    answered += 1
+                    if "--format" not in argv or argv[-1] == "json":
+                        json.loads(out.getvalue())
+                else:
+                    assert code == 1, (argv, code)
+                    assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+            print(f"{answered} of {len(argvs)} fuzzed infinite-regime calls answered")
         """, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr

@@ -181,7 +181,7 @@ class TestTailProb:
 
     def test_upper_binomial_tail_identity(self):
         # Pr(Beta(n+1-u, u) >= t) = Pr(Bin(n, 1-t) >= u), within the
-        # beta_survival contract 2e-15 * (a + b)
+        # beta_survival contract 1e-15 + 1e-17 sqrt(n)
         rng = random.Random(31)
         for _ in range(300):
             n = rng.randint(1, 120)
@@ -189,7 +189,16 @@ class TestTailProb:
             alpha = rng.uniform(0.001, 0.999)
             exact = binom_rung_tail(n, u, alpha)
             tail = tail_prob(n, u, CoverageRegime.infinite(), alpha)
-            assert abs(tail - exact) <= 2e-15 * (n + 1), (n, u, alpha)
+            assert abs(tail - exact) <= 1e-15 + 1e-17 * math.sqrt(n), (n, u, alpha)
+
+
+    def test_decision_past_1e10(self):
+        # Pr(Bin(n, 1-t) <= u-1) is 0.0419984 at u = 3242264692 and 0.0420003
+        # at u + 1 (scipy), so rung u passes 1 - 0.042 and rung u + 1 fails
+        n, alpha, u = 10228220841, 0.317, 3242264692
+        regime = CoverageRegime.infinite()
+        assert tail_prob(n, u, regime, alpha) >= 0.958
+        assert tail_prob(n, u + 1, regime, alpha) < 0.958
 
 
 class TestCalibrationContext:

@@ -187,11 +187,12 @@ def test_reprs_match_the_former_dataclass_reprs():
     from ssbc.adjust import ssbc_adjust
     from ssbc.feasibility import feasibility_report, rung_table
 
+    # The tail is the double nearest the exact Pr(Bin(25, 1/2) <= 16).
     assert repr(ssbc_adjust(CalibrationContext(25, 0.5, 0.1), CoverageRegime.infinite())) == (
         "AdjustmentReport(feasible=True, method='ssbc', context=CalibrationContext(n=25, "
         "alpha_target=0.5, delta=0.1), regime=CoverageRegime(kind='infinite', m=None), "
-        "alpha_adj=0.34615384615384615, u_star=9, achieved_tail=0.9461239278316497, "
-        "achieved_violation=0.05387607216835033, epsilon=None, skipped_rungs=(), note=None)"
+        "alpha_adj=0.34615384615384615, u_star=9, achieved_tail=0.9461239278316498, "
+        "achieved_violation=0.05387607216835022, epsilon=None, skipped_rungs=(), note=None)"
     )
     assert repr(rung_table(2, 0.5, CoverageRegime.infinite())) == (
         "RungTable(n=2, alpha_target=0.5, regime=CoverageRegime(kind='infinite', m=None), "

@@ -18,6 +18,7 @@ from ssbc.specfun import (
 
 from oracles import (
     bb_pmf,
+    binom_cdf_mp,
     bb_survival,
     bb_window_tail,
     beta_survival_int,
@@ -95,9 +96,12 @@ class TestRegIncBeta:
         assert reg_inc_beta(0.9, 50, 1) == pytest.approx(0.9**50, rel=1e-12)
 
     def test_endpoints(self):
-        p = (3.5, 2.25)
-        assert reg_inc_beta(0.0, *p) == 0.0
-        assert reg_inc_beta(1.0, *p) == 1.0
+        # Bin(a+b-1, x) is a point mass at x = 0 and x = 1
+        for p in [(4, 3), (1, 1), (1, 60), (60, 1.0)]:
+            assert reg_inc_beta(0.0, *p) == 0.0
+            assert reg_inc_beta(1.0, *p) == 1.0
+            assert beta_survival(0.0, *p) == 1.0
+            assert beta_survival(1.0, *p) == 0.0
 
     @given(
         st.integers(1, 100),
@@ -110,17 +114,25 @@ class TestRegIncBeta:
         expected = float(reg_inc_beta_int(x, a, b))
         assert reg_inc_beta(x, a, b) == pytest.approx(expected, abs=1e-12)
 
-    @given(st.floats(0.2, 80.0), st.floats(0.2, 80.0))
+    @given(st.integers(1, 80), st.integers(1, 80))
     @settings(max_examples=100)
     def test_nondecreasing_in_x(self, a, b):
         xs = [i / 20 for i in range(21)]
         values = [reg_inc_beta(x, a, b) for x in xs]
         assert all(lo <= hi + 1e-13 for lo, hi in zip(values, values[1:]))
 
-    @given(st.floats(0.2, 200.0), st.floats(0.2, 200.0), st.floats(0.001, 0.999))
+    @given(st.integers(1, 200), st.integers(1, 200), st.floats(0.001, 0.999))
     @settings(max_examples=200)
     def test_complements_survival(self, a, b, t):
         assert reg_inc_beta(t, a, b) + beta_survival(t, a, b) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("a,b", [(2.5, 3), (3, 0.5), (1.0000001, 4), (1e-3, 2)])
+    def test_non_integer_shapes_are_refused(self, a, b):
+        # both kernels are binomial tails, so the shapes are integer-valued
+        with pytest.raises(ValueError, match="integers"):
+            reg_inc_beta(0.3, a, b)
+        with pytest.raises(ValueError, match="integers"):
+            beta_survival(0.3, a, b)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -133,7 +145,8 @@ class TestRegIncBeta:
 
 class TestBetaSurvival:
     def test_at_zero(self):
-        assert beta_survival(0.0, 12.5, 0.7) == 1.0
+        for a, b in [(13, 1), (1, 13), (12.0, 7.0)]:
+            assert beta_survival(0.0, a, b) == 1.0
 
     def test_closed_form_small_tail(self):
         assert beta_survival(0.99, 5, 1) == pytest.approx(1 - 0.99**5, rel=1e-12)
@@ -151,12 +164,23 @@ class TestBetaSurvival:
         assert got == pytest.approx(expected, abs=1e-13)
 
 
+def contract(n: int) -> float:
+    """The module's accuracy contract for a Beta tail with a + b - 1 = n."""
+    return 1e-15 + 1e-17 * math.sqrt(n)
+
+
+def sampled_splits(rng: random.Random, n: int, x: float, count: int) -> list[int]:
+    """Split points k within 5 sd of the mean of Bin(n, x), where neither
+    side of the split is 0 or 1."""
+    mean, sd = n * x, math.sqrt(n * x * (1 - x))
+    return [min(max(round(mean + rng.uniform(-5, 5) * sd), 0), n - 1) for _ in range(count)]
+
+
 class TestBetaSurvivalAgainstScipy:
     @pytest.mark.parametrize("n", [100, 1_000, 10_000])
     def test_error_within_contract(self, n):
-        # the module's contract: absolute error below 2e-15 (a + b); sample
-        # rungs u and points t within 4 sd of the law's mean, where the tail
-        # is neither 0 nor 1
+        # sample rungs u and points t within 4 sd of the law's mean, where
+        # the tail is neither 0 nor 1; scipy's own error is below 1e-15 here
         special = pytest.importorskip("scipy.special")
         rng = random.Random(n)
         for _ in range(200):
@@ -166,7 +190,47 @@ class TestBetaSurvivalAgainstScipy:
             sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
             t = min(max(mean + rng.uniform(-4, 4) * sd, 1e-9), 1 - 1e-9)
             got = beta_survival(t, float(a), float(b))
-            assert abs(got - float(special.betaincc(a, b, t))) <= 2e-15 * (a + b), (a, b, t)
+            assert abs(got - float(special.betaincc(a, b, t))) <= 1e-15 + contract(n), (a, b, t)
+
+    @pytest.mark.parametrize("n,x", [(10**9, 0.9), (10**9, 0.41), (10**10, 0.683)])
+    def test_large_laws_agree(self, n, x):
+        # At these sizes scipy's binomial CDF is itself off by more than the
+        # contract: against 40-digit mpmath sums, by up to 8.0e-13 at
+        # n = 1e9 and 3.1e-12 at n = 1e10.  The bound adds 4e-17 sqrt(n)
+        # for it.
+        binom = pytest.importorskip("scipy.stats").binom
+        bound = contract(n) + 4e-17 * math.sqrt(n)
+        for k in sampled_splits(random.Random(n), n, x, 6):
+            want = float(binom.cdf(k, n, x))
+            assert abs(beta_survival(x, k + 1, n - k) - want) <= bound, (n, x, k)
+            assert abs(reg_inc_beta(x, k + 1, n - k) - (1 - want)) <= bound, (n, x, k)
+
+
+class TestBetaSurvivalAgainstMpmath:
+    @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+    def test_error_within_1e_13(self, n):
+        pytest.importorskip("mpmath")
+        rng = random.Random(n)
+        for x in (0.9, 1.0 - 0.317, 0.41, rng.uniform(0.01, 0.99)):
+            ks = sampled_splits(rng, n, x, 8)
+            for k, want in zip(ks, binom_cdf_mp(n, x, ks)):
+                assert abs(beta_survival(x, k + 1, n - k) - want) <= 1e-13, (n, x, k)
+                assert abs(reg_inc_beta(x, k + 1, n - k) - (1 - want)) <= 1e-13, (n, x, k)
+
+
+class TestBinomialWalkCap:
+    def test_too_wide_laws_are_refused_before_walking(self):
+        # variance N x (1 - x) above 2**34: refused at once, whatever N is
+        for n, x in [(2**36 + 4, 0.5), (10**12, 0.9), (10**400, 0.3)]:
+            with pytest.raises(ValueError, match="MAX_WALK_VARIANCE"):
+                beta_survival(x, n // 2, n - n // 2)
+
+    def test_narrow_laws_of_huge_n_are_walked(self):
+        # Bin(10**30, 2**-100) has variance below 1: Pr(V = 0) = (1 - x)^N
+        x, n = 2.0**-100, 10**30
+        none = math.exp(n * math.log1p(-x))
+        assert beta_survival(x, 1, n) == pytest.approx(none, rel=1e-14)
+        assert reg_inc_beta(x, 1, n) == pytest.approx(1 - none, rel=1e-14)
 
 
 class TestBetaBinomial:
