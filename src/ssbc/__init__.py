@@ -30,8 +30,8 @@ _NAMES = {
         "mc": ("MethodReport", "SimConfig", "SimReport", "run_simulation", "theory_overlay"),
         "mondrian": ("MondrianSpec", "budget_success_prob", "class_count_predictive",
                      "ssbc_mondrian"),
-        "specfun": ("beta_survival", "betabinom_cdf", "betabinom_pmf", "betabinom_pmf_vector",
-                    "betabinom_survival", "log_beta", "reg_inc_beta"),
+        "specfun": ("beta_survival", "betabinom_pmf", "betabinom_pmf_vector",
+                    "betabinom_survival", "reg_inc_beta"),
     }.items()
     for name in names
 }

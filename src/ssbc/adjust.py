@@ -11,7 +11,7 @@ import math
 from collections.abc import Callable
 
 from .coverage import (
-    CalibrationContext, CoverageRegime, Record, order_index, snapped_ceil, tail_prob
+    CalibrationContext, CoverageRegime, Record, highest_grid_index_below, order_index, tail_prob
 )
 
 METHOD_SSBC = "ssbc"
@@ -66,12 +66,6 @@ class AdjustmentReport(Record):
         if self.note is not None:
             out["note"] = self.note
         return out
-
-
-def highest_grid_index_below(alpha_target: float, n: int) -> int:
-    """Largest u with u/(n+1) strictly below alpha_target (0 if none)."""
-    u_max = snapped_ceil(alpha_target * (n + 1), scale=n + 1) - 1
-    return max(0, min(n, u_max))
 
 
 def search_grid(

@@ -109,12 +109,10 @@ def _cmd_adjust(args) -> int:
     from .coverage import CalibrationContext
 
     ctx = CalibrationContext(n=args.n, alpha_target=args.alpha, delta=args.delta)
-    if args.method == "ssbc":
-        report = ssbc_adjust(ctx, _regime_from_flags(args))
-    else:
-        if args.regime == "window":
-            raise _UsageError("the dkwm method has no finite-window variant")
-        report = dkwm_adjust(ctx)
+    if args.method == "dkwm" and args.regime == "window":
+        raise _UsageError("the dkwm method has no finite-window variant")
+    regime = _regime_from_flags(args)
+    report = ssbc_adjust(ctx, regime) if args.method == "ssbc" else dkwm_adjust(ctx)
     _emit(report.to_dict(), args.format)
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 

@@ -4,9 +4,11 @@ With n calibration points and a level alpha on the grid {u/(n+1)}, the
 infinite-test coverage follows Beta(n+1-u, u); over a finite window of m
 test points the covered count follows Beta-Binomial(m; n+1-u, u).  The
 integer rung u is what the searches pass to :func:`tail_prob`, the source
-of every tail the package decides on; this module also owns the float
-snapping that keeps ceil honest at exact grid points, and :class:`Record`,
-the base of the package's value types.
+of every tail the package decides on; this module also owns the maps from
+a level to a count (:func:`order_index`, :func:`highest_grid_index_below`,
+:func:`window_threshold`), the float snapping that keeps their ceil honest
+at exact grid points, and :class:`Record`, the base of the package's value
+types.
 """
 
 from __future__ import annotations
@@ -124,6 +126,12 @@ def order_index(alpha: float, n: int) -> int:
     check_unit("alpha", alpha)
     k = snapped_ceil((1.0 - alpha) * (n + 1), scale=n + 1)
     return max(1, min(n + 1, k))
+
+
+def highest_grid_index_below(alpha_target: float, n: int) -> int:
+    """Largest u with u/(n+1) strictly below alpha_target (0 if none)."""
+    u_max = snapped_ceil(alpha_target * (n + 1), scale=n + 1) - 1
+    return max(0, min(n, u_max))
 
 
 def window_threshold(alpha_target: float, m: int) -> int:

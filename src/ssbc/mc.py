@@ -239,7 +239,7 @@ def theory_overlay(config: SimConfig, method_alpha: float) -> tuple[float, ...]:
     if k > config.n:
         pmf = [0.0] * config.m + [1.0]
         return tuple(pmf)
-    return tuple(betabinom_pmf_vector(config.m, float(k), float(config.n + 1 - k)))
+    return tuple(betabinom_pmf_vector(config.m, k, config.n + 1 - k))
 
 
 def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import math
 
-from .adjust import AdjustmentReport, grid_report, highest_grid_index_below, search_grid
-from .coverage import CalibrationContext, CoverageRegime, Record, check_int, check_unit, tail_prob
+from .adjust import AdjustmentReport, grid_report, search_grid
+from .coverage import (
+    CalibrationContext, CoverageRegime, Record, check_int, check_unit, highest_grid_index_below,
+    tail_prob
+)
 from .specfun import betabinom_pmf_vector
 
 
@@ -49,7 +52,7 @@ def class_count_predictive(spec: MondrianSpec) -> list[float]:
     when the training sample is all-other or all-class-j.
     """
     if 0 < spec.k_j < spec.k:
-        return betabinom_pmf_vector(spec.m, float(spec.k_j), float(spec.k - spec.k_j))
+        return betabinom_pmf_vector(spec.m, spec.k_j, spec.k - spec.k_j)
     counts = [0.0] * (spec.m + 1)
     counts[0 if spec.k_j == 0 else spec.m] = 1.0
     return counts

@@ -19,8 +19,8 @@ n = 1e3 and m = 1e5, 2.9e-9 at n = 1e3 and m = 1e6).
 Every function takes the law's parameters as plain numbers, in the order
 scipy.stats uses: the point, then the trial count m of a Beta-Binomial, then
 the shapes a and b.  The Beta kernels check them in :func:`_inc_beta_pair`,
-the Beta-Binomial kernels with :func:`_check_law` (:func:`log_beta`, called
-per term, tests its shapes inline); the term routine checks nothing.
+the Beta-Binomial kernels with :func:`_check_law`, once per call; the term
+routine and :func:`_log_beta`, which it calls per term, check nothing.
 """
 
 from __future__ import annotations
@@ -51,11 +51,10 @@ def check_int(name: str, value, lo: int = 1, hi: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
-def _check_law(a: float, b: float, m: int | None = None) -> None:
-    """Raise ValueError unless the Beta shapes a and b are positive and
-    finite and the trial count m, when given, is an integer >= 1."""
-    if m is not None:
-        check_int("trial count m", m)
+def _check_law(a: float, b: float, m: int) -> None:
+    """Raise ValueError unless the trial count m is an integer >= 1 and the
+    Beta shapes a and b are positive and finite."""
+    check_int("trial count m", m)
     if not (a > 0 and math.isfinite(a) and b > 0 and math.isfinite(b)):
         raise ValueError(f"Beta shapes must be positive and finite, got a={a!r}, b={b!r}")
 
@@ -79,15 +78,14 @@ def _lgamma_step(large: float, small: float) -> float:
     )
 
 
-def log_beta(a: float, b: float) -> float:
-    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b).
+def _log_beta(a: float, b: float) -> float:
+    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b), for positive
+    finite shapes (not checked here).
 
     When the direct three-term form would cancel badly (one huge shape, a
     small result), the Gamma-ratio step is evaluated through a Stirling
     expansion instead.
     """
-    if not (a > 0 and math.isfinite(a)) or not (b > 0 and math.isfinite(b)):
-        raise ValueError(f"log_beta requires positive finite shapes, got a={a!r}, b={b!r}")
     lga, lgb, lgab = math.lgamma(a), math.lgamma(b), math.lgamma(a + b)
     direct = lga + lgb - lgab
     rounding = 2.3e-16 * (abs(lga) + abs(lgb) + abs(lgab))
@@ -173,10 +171,10 @@ def _betabinom_terms(m: int, a: float, b: float, start: int, stop: int) -> Itera
     """Pr(X = r) for r in start..stop-1, X ~ Beta-Binomial(m; a, b); the
     law's constants are computed once, not per term."""
     lg_m = math.lgamma(m + 1)
-    lb_ab = log_beta(a, b)
+    lb_ab = _log_beta(a, b)
     for r in range(start, stop):
         log_choose = lg_m - math.lgamma(r + 1) - math.lgamma(m - r + 1)
-        yield math.exp(log_choose + log_beta(r + a, m - r + b) - lb_ab)
+        yield math.exp(log_choose + _log_beta(r + a, m - r + b) - lb_ab)
 
 
 def betabinom_pmf(r: int, m: int, a: float, b: float) -> float:
@@ -190,13 +188,6 @@ def betabinom_pmf_vector(m: int, a: float, b: float) -> list[float]:
     """The full pmf over r = 0..m as a list."""
     _check_law(a, b, m)
     return list(_betabinom_terms(m, a, b, 0, m + 1))
-
-
-def betabinom_cdf(x: int, m: int, a: float, b: float) -> float:
-    """Pr(X <= x) for X ~ Beta-Binomial(m; a, b), summed exactly over 0..x."""
-    _check_law(a, b, m)
-    check_int("x", x, 0, m)
-    return math.fsum(_betabinom_terms(m, a, b, 0, x + 1))
 
 
 def betabinom_survival(x_star: int, m: int, a: float, b: float) -> float:

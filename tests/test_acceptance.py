@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ssbc.adjust import dkwm_adjust, highest_grid_index_below, ssbc_adjust
-from ssbc.coverage import CalibrationContext, CoverageRegime, tail_prob
+from ssbc.adjust import dkwm_adjust, ssbc_adjust
+from ssbc.coverage import CalibrationContext, CoverageRegime, highest_grid_index_below, tail_prob
 from ssbc.feasibility import (
     alpha_star_exact_finite,
     alpha_star_infinite,

@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssbc.adjust import (
-    dkwm_adjust,
-    dkwm_eps,
-    highest_grid_index_below,
-    search_grid,
-    ssbc_adjust,
-)
-from ssbc.coverage import CalibrationContext, CoverageRegime, tail_prob
+from ssbc.adjust import dkwm_adjust, dkwm_eps, search_grid, ssbc_adjust
+from ssbc.coverage import CalibrationContext, CoverageRegime, highest_grid_index_below, tail_prob
 from ssbc.mondrian import MondrianSpec, budget_success_prob, ssbc_mondrian
 
 from oracles import full_scan, ssbc_scan_infinite

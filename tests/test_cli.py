@@ -106,11 +106,16 @@ class TestAdjustCommand:
         assert "--m" in err
 
     def test_stray_m_is_usage_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "adjust", "--n", "50", "--alpha", "0.1", "--delta", "0.1",
-            "--regime", "inf", "--m", "10",
-        )
-        assert code == EXIT_USAGE
+        for argv in (
+            ("--n", "50", "--alpha", "0.1", "--m", "10"),
+            ("--n", "25", "--alpha", "0.5", "--m", "5", "--method", "dkwm"),  # feasible, not exit 2
+        ):
+            code, out, err = run_cli(
+                capsys, "adjust", "--delta", "0.1", "--regime", "inf", *argv
+            )
+            assert code == EXIT_USAGE, argv
+            assert out == ""
+            assert "--m is only valid with --regime window" in err
 
     def test_dkwm_has_no_window_variant(self, capsys):
         code, _, err = run_cli(
@@ -572,10 +577,10 @@ PUBLIC_API = {
     "AdjustmentReport", "CalibrationContext", "CoverageRegime", "FeasibilityReport",
     "METHOD_DKWM", "METHOD_SSBC", "MethodReport", "MondrianSpec", "Rung", "RungTable",
     "SimConfig", "SimReport", "alpha_star_exact_finite", "alpha_star_infinite",
-    "alpha_star_laplace", "beta_survival", "betabinom_cdf", "betabinom_pmf",
-    "betabinom_pmf_vector", "betabinom_survival", "budget_success_prob",
-    "class_count_predictive", "dkwm_adjust", "dkwm_eps", "feasibility_report",
-    "grid_implementable", "log_beta", "order_index", "reg_inc_beta", "rung_table",
+    "alpha_star_laplace", "beta_survival", "betabinom_pmf", "betabinom_pmf_vector",
+    "betabinom_survival", "budget_success_prob", "class_count_predictive", "dkwm_adjust",
+    "dkwm_eps", "feasibility_report", "grid_implementable", "order_index", "reg_inc_beta",
+    "rung_table",
     "run_simulation", "ssbc_adjust", "ssbc_mondrian", "tail_prob", "theory_overlay",
     "window_threshold",
 }

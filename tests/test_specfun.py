@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssbc.specfun import (
+    _log_beta,
     beta_survival,
-    betabinom_cdf,
     betabinom_pmf,
     betabinom_pmf_vector,
     betabinom_survival,
-    log_beta,
     reg_inc_beta,
 )
 
@@ -35,7 +34,6 @@ KERNELS = {
     "beta_survival": (beta_survival, (0.3, 2.0, 3.0), None, (-0.1, 1.2)),
     "betabinom_pmf": (betabinom_pmf, (4, 10, 2.0, 3.0), 1, (-1, 11)),
     "betabinom_pmf_vector": (betabinom_pmf_vector, (10, 2.0, 3.0), 0, ()),
-    "betabinom_cdf": (betabinom_cdf, (4, 10, 2.0, 3.0), 1, (-1, 11)),
     "betabinom_survival": (betabinom_survival, (4, 10, 2.0, 3.0), 1, (-1, 12)),
 }
 
@@ -61,28 +59,23 @@ def test_every_kernel_rejects_bad_arguments(name, at, value):
 
 class TestLogBeta:
     def test_known_values(self):
-        assert log_beta(1, 1) == pytest.approx(0.0, abs=1e-15)
-        assert log_beta(2, 3) == pytest.approx(math.log(1 / 12), rel=1e-14)
-        assert log_beta(50, 1) == pytest.approx(math.log(1 / 50), rel=1e-14)
+        assert _log_beta(1, 1) == pytest.approx(0.0, abs=1e-15)
+        assert _log_beta(2, 3) == pytest.approx(math.log(1 / 12), rel=1e-14)
+        assert _log_beta(50, 1) == pytest.approx(math.log(1 / 50), rel=1e-14)
 
     @pytest.mark.parametrize("a,b", [(2, 5), (40, 3), (123, 456), (2000, 17), (9999, 9999)])
     def test_integer_factorial_oracle(self, a, b):
-        assert log_beta(a, b) == pytest.approx(log_beta_int(a, b), rel=1e-12)
+        assert _log_beta(a, b) == pytest.approx(log_beta_int(a, b), rel=1e-12)
 
     def test_large_shapes_relative_error(self):
         # contract holds up to shapes of 1e6; spot-check the top decades
         for a, b in [(10_000, 10_000), (100_000, 7), (100_000, 100_000)]:
-            assert log_beta(a, b) == pytest.approx(log_beta_int(a, b), rel=1e-12)
+            assert _log_beta(a, b) == pytest.approx(log_beta_int(a, b), rel=1e-12)
 
     @given(st.floats(0.05, 500.0), st.floats(0.05, 500.0))
     @settings(max_examples=100)
     def test_symmetry(self, a, b):
-        assert log_beta(a, b) == pytest.approx(log_beta(b, a), rel=1e-13, abs=1e-13)
-
-    @pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (-2, 3), (1, -0.5), (math.nan, 1)])
-    def test_domain_errors(self, a, b):
-        with pytest.raises(ValueError):
-            log_beta(a, b)
+        assert _log_beta(a, b) == pytest.approx(_log_beta(b, a), rel=1e-13, abs=1e-13)
 
 
 class TestRegIncBeta:
@@ -287,17 +280,6 @@ class TestBetaBinomialSurvival:
                 assert betabinom_survival(x, m, a, b) == pytest.approx(
                     float(bb_survival(x, m, a, b)), abs=1e-10
                 )
-
-    def test_cdf_against_exact_rationals(self):
-        for (m, a, b) in [(20, 6, 3), (41, 18, 25), (100, 50, 1)]:
-            for x in range(m + 1):
-                assert betabinom_cdf(x, m, a, b) == pytest.approx(
-                    float(1 - bb_survival(x + 1, m, a, b)), abs=1e-10
-                )
-        p = (10, 2, 3)
-        for x in (-1, 11, True, 2.0):
-            with pytest.raises(ValueError):
-                betabinom_cdf(x, *p)
 
     @given(st.integers(1, 50), st.floats(0.2, 200.0), st.floats(0.2, 200.0))
     @settings(max_examples=100)
