@@ -177,100 +177,56 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# Each flag's settings, stated once.  A flag with no default is required
+# unless its subcommand lists it with a trailing "?".
+_FLAGS = {
+    "n": dict(type=int, help="calibration set size (symbol n)"),
+    "alpha": dict(type=float, help="target miscoverage level (symbol α)"),
+    "delta": dict(type=float, help="risk tolerance over calibration draws (symbol δ)"),
+    "regime": dict(choices=("inf", "window"), help="coverage law: infinite test stream or "
+                   "finite window; window requires --m"),
+    "m": dict(type=int, help="inference window size (symbol m)"),
+    "method": dict(choices=("ssbc", "dkwm"), default="ssbc"),
+    "k": dict(type=int, help="training set size (symbol k)"),
+    "kj": dict(type=int, help="class-j training count (symbol k_j)"),
+    "nj": dict(type=int, help="class-j calibration size (symbol n_j)"),
+    "runs": dict(type=int, help="number of Monte Carlo runs"),
+    "seed": dict(type=int, help="64-bit unsigned seed"),
+    "methods": dict(default="none,ssbc", help="comma-separated subset of none,ssbc,dkwm"),
+    "score-model": dict(choices=("abs_cauchy", "abs_normal", "uniform"), default="abs_cauchy",
+                        help="nonconformity score distribution"),
+    "workers": dict(type=int, default=1, help="run ranges to split the work into, counted by at "
+                    "most one thread per CPU (default 1); does not affect results"),
+}
+
+# name: (handler, help, flags in order, output formats with the default first)
+_COMMANDS = {
+    "adjust": (_cmd_adjust, "compute an adjusted miscoverage level",
+               "n alpha delta regime m? method", ("json", "human")),
+    "feasible": (_cmd_feasible, "feasibility thresholds for (n, delta)",
+                 "n delta m?", ("json", "human")),
+    "rungs": (_cmd_rungs, "attainable delta at every grid rung",
+              "n alpha regime m?", ("json", "csv", "human")),
+    "mondrian": (_cmd_mondrian, "class-conditional window budget adjustment",
+                 "k kj nj m alpha delta", ("json", "human")),
+    "simulate": (_cmd_simulate, "Monte Carlo validation of corrections",
+                 "n alpha delta m runs seed methods score-model workers",
+                 ("json", "csv", "human")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ssbc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, alpha=True, delta=True, regime=False, window_m=False):
-        p.add_argument("--n", type=int, required=True, help="calibration set size (symbol n)")
-        if alpha:
-            p.add_argument(
-                "--alpha", type=float, required=True, help="target miscoverage level (symbol α)"
-            )
-        if delta:
-            p.add_argument(
-                "--delta", type=float, required=True, help="risk tolerance over calibration draws (symbol δ)"
-            )
-        if regime:
-            p.add_argument(
-                "--regime",
-                choices=("inf", "window"),
-                required=True,
-                help="coverage law: infinite test stream or finite window",
-            )
-        if window_m:
-            p.add_argument(
-                "--m",
-                type=int,
-                default=None,
-                help="inference window size (symbol m); required with --regime window",
-            )
-
-    p_adjust = sub.add_parser("adjust", help="compute an adjusted miscoverage level")
-    add_common(p_adjust, regime=True, window_m=True)
-    p_adjust.add_argument("--method", choices=("ssbc", "dkwm"), default="ssbc")
-    p_adjust.add_argument("--format", choices=("json", "human"), default="json")
-    p_adjust.set_defaults(func=_cmd_adjust)
-
-    p_feasible = sub.add_parser("feasible", help="feasibility thresholds for (n, delta)")
-    add_common(p_feasible, alpha=False)
-    p_feasible.add_argument(
-        "--m", type=int, default=None, help="optional inference window size (symbol m)"
-    )
-    p_feasible.add_argument("--format", choices=("json", "human"), default="json")
-    p_feasible.set_defaults(func=_cmd_feasible)
-
-    p_rungs = sub.add_parser("rungs", help="attainable delta at every grid rung")
-    add_common(p_rungs, delta=False, regime=True, window_m=True)
-    p_rungs.add_argument("--format", choices=("json", "csv", "human"), default="json")
-    p_rungs.set_defaults(func=_cmd_rungs)
-
-    p_mondrian = sub.add_parser(
-        "mondrian", help="class-conditional window budget adjustment"
-    )
-    p_mondrian.add_argument("--k", type=int, required=True, help="training set size (symbol k)")
-    p_mondrian.add_argument(
-        "--kj", type=int, required=True, help="class-j training count (symbol k_j)"
-    )
-    p_mondrian.add_argument(
-        "--nj", type=int, required=True, help="class-j calibration size (symbol n_j)"
-    )
-    p_mondrian.add_argument("--m", type=int, required=True, help="window size (symbol m)")
-    p_mondrian.add_argument(
-        "--alpha", type=float, required=True, help="target miscoverage level (symbol α)"
-    )
-    p_mondrian.add_argument(
-        "--delta", type=float, required=True, help="risk tolerance (symbol δ)"
-    )
-    p_mondrian.add_argument("--format", choices=("json", "human"), default="json")
-    p_mondrian.set_defaults(func=_cmd_mondrian)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo validation of corrections")
-    add_common(p_sim)
-    p_sim.add_argument("--m", type=int, required=True, help="inference window size (symbol m)")
-    p_sim.add_argument("--runs", type=int, required=True, help="number of Monte Carlo runs")
-    p_sim.add_argument("--seed", type=int, required=True, help="64-bit unsigned seed")
-    p_sim.add_argument(
-        "--methods",
-        default="none,ssbc",
-        help="comma-separated subset of none,ssbc,dkwm",
-    )
-    p_sim.add_argument(
-        "--score-model",
-        choices=("abs_cauchy", "abs_normal", "uniform"),
-        default="abs_cauchy",
-        help="nonconformity score distribution",
-    )
-    p_sim.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="run ranges to split the work into, counted by at most one thread per CPU "
-        "(default 1); does not affect results",
-    )
-    p_sim.add_argument("--format", choices=("json", "csv", "human"), default="json")
-    p_sim.set_defaults(func=_cmd_simulate)
-
+    for name, (func, help_text, flags, formats) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for word in flags.split():
+            flag = word.rstrip("?")
+            spec = _FLAGS[flag]
+            required = "default" not in spec and not word.endswith("?")
+            p.add_argument(f"--{flag}", required=required, **spec)
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -294,8 +250,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         # OverflowError: an input, or a value derived from it, beyond a double.
+        # MemoryError: arrays sized from the inputs (simulate's draws) that
+        # cannot be allocated; the request fails before it touches memory.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -36,6 +36,9 @@ from itertools import accumulate
 # variance above MAX_WALK_VARIANCE (~2e6 terms: ~1 s, 60 MB) is refused.
 _WALK_CUTOFF = 2.0**-60
 MAX_WALK_VARIANCE = 2**34
+# A full Beta-Binomial pmf whose terms sum further than this from 1 is refused:
+# the slack the benchmark's checks allow a tail.
+PMF_MASS_SLACK = 1e-6
 
 
 def check_int(name: str, value, lo: int = 1, hi: int | None = None) -> None:
@@ -185,9 +188,19 @@ def betabinom_pmf(r: int, m: int, a: float, b: float) -> float:
 
 
 def betabinom_pmf_vector(m: int, a: float, b: float) -> list[float]:
-    """The full pmf over r = 0..m as a list."""
+    """The full pmf over r = 0..m as a list.  Raises ValueError, naming the
+    law, when a term overflows or the terms sum further than PMF_MASS_SLACK
+    from 1: a check for gross failures only, and no term is rescaled."""
     _check_law(a, b, m)
-    return list(_betabinom_terms(m, a, b, 0, m + 1))
+    try:
+        pmf = list(_betabinom_terms(m, a, b, 0, m + 1))
+        mass = math.fsum(pmf)
+    except OverflowError:
+        mass = math.inf
+    if not abs(mass - 1.0) <= PMF_MASS_SLACK:
+        raise ValueError(f"Beta-Binomial(m={m}; a={a!r}, b={b!r}) is beyond the log-space "
+                         f"pmf: its terms sum to {mass!r}, not 1 within {PMF_MASS_SLACK}")
+    return pmf
 
 
 def betabinom_survival(x_star: int, m: int, a: float, b: float) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import importlib.util
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssbc.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from ssbc.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser, main
 from ssbc.serialize import canonical_json
 
 
@@ -427,6 +428,15 @@ class TestMondrianCommand:
         data = json.loads(out)
         assert data["skipped_rungs"] == [1]
 
+    def test_lost_pmf_mass_is_an_error(self, capsys):
+        # The class-count law's log-space terms sum to ~108 at these shapes.
+        code, out, err = run_cli(
+            capsys, "mondrian", "--k", "1000000000000000", "--kj", "428571428571428",
+            "--nj", "50", "--m", "92", "--alpha", "0.43", "--delta", "0.22",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: Beta-Binomial(m=92; a=428571428571428,")
+
 
 class TestSimulateCommand:
     ARGS = (
@@ -464,6 +474,16 @@ class TestSimulateCommand:
         code, out, _ = run_cli(capsys, *self.ARGS, "--methods", "dkwm")
         data = json.loads(out)
         assert [m["method"] for m in data["methods"]] == ["dkwm"]
+
+    def test_unallocatable_draws_are_an_error(self, capsys):
+        # 7.11 PiB of draws exceeds the address space: the allocation fails
+        # before any memory is touched.
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "1000000000000000", "--m", "10", "--alpha", "0.1",
+            "--delta", "0.1", "--runs", "1", "--seed", "1", "--methods", "none",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: Unable to allocate")
 
 
 class TestGoldenExamples:
@@ -569,6 +589,93 @@ class TestHelp:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == EXIT_USAGE
+
+
+def subparsers() -> dict:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+HELP = ("-h", "--help"), False, argparse.SUPPRESS, None, None
+FORMATS = ("json", "human")
+TABULAR_FORMATS = ("json", "csv", "human")
+
+# (option strings, required, default, choices, type) of each action, in order.
+FLAG_INVENTORY = {
+    "adjust": [
+        HELP,
+        (("--n",), True, None, None, int),
+        (("--alpha",), True, None, None, float),
+        (("--delta",), True, None, None, float),
+        (("--regime",), True, None, ("inf", "window"), None),
+        (("--m",), False, None, None, int),
+        (("--method",), False, "ssbc", ("ssbc", "dkwm"), None),
+        (("--format",), False, "json", FORMATS, None),
+    ],
+    "feasible": [
+        HELP,
+        (("--n",), True, None, None, int),
+        (("--delta",), True, None, None, float),
+        (("--m",), False, None, None, int),
+        (("--format",), False, "json", FORMATS, None),
+    ],
+    "rungs": [
+        HELP,
+        (("--n",), True, None, None, int),
+        (("--alpha",), True, None, None, float),
+        (("--regime",), True, None, ("inf", "window"), None),
+        (("--m",), False, None, None, int),
+        (("--format",), False, "json", TABULAR_FORMATS, None),
+    ],
+    "mondrian": [
+        HELP,
+        (("--k",), True, None, None, int),
+        (("--kj",), True, None, None, int),
+        (("--nj",), True, None, None, int),
+        (("--m",), True, None, None, int),
+        (("--alpha",), True, None, None, float),
+        (("--delta",), True, None, None, float),
+        (("--format",), False, "json", FORMATS, None),
+    ],
+    "simulate": [
+        HELP,
+        (("--n",), True, None, None, int),
+        (("--alpha",), True, None, None, float),
+        (("--delta",), True, None, None, float),
+        (("--m",), True, None, None, int),
+        (("--runs",), True, None, None, int),
+        (("--seed",), True, None, None, int),
+        (("--methods",), False, "none,ssbc", None, None),
+        (("--score-model",), False, "abs_cauchy", ("abs_cauchy", "abs_normal", "uniform"),
+         None),
+        (("--workers",), False, 1, None, int),
+        (("--format",), False, "json", TABULAR_FORMATS, None),
+    ],
+}
+
+
+class TestParserSurface:
+    def test_flag_inventory(self):
+        found = {
+            name: [(tuple(a.option_strings), a.required, a.default,
+                    None if a.choices is None else tuple(a.choices), a.type)
+                   for a in p._actions]
+            for name, p in subparsers().items()
+        }
+        assert found == FLAG_INVENTORY
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        lines = [line.strip().split() for line in block.replace("\\\n", " ").splitlines()
+                 if line.strip()]
+        assert len(lines) >= len(FLAG_INVENTORY)
+        for argv in lines:
+            assert argv[0] == "ssbc"
+            args = build_parser().parse_args(argv[1:])
+            assert args.command == argv[1]
+        assert {argv[1] for argv in lines} == set(FLAG_INVENTORY)
 
 
 MC_NAMES = ("MethodReport", "SimConfig", "SimReport", "run_simulation", "theory_overlay")

@@ -243,6 +243,14 @@ class TestBetaBinomial:
         total = math.fsum(betabinom_pmf_vector(m, a, b))
         assert total == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("m,a,b", [
+        (92, 428571428571428, 571428571428572),  # terms sum to ~108
+        (50, 3 * 10**17, 4 * 10**17),  # a term overflows
+    ])
+    def test_gross_mass_error_is_refused(self, m, a, b):
+        with pytest.raises(ValueError, match=rf"^Beta-Binomial\(m={m}; a={a}, b={b}\)"):
+            betabinom_pmf_vector(m, a, b)
+
     @given(st.integers(1, 40), st.floats(0.1, 300.0), st.floats(0.1, 300.0))
     @settings(max_examples=150)
     def test_symmetry(self, m, a, b):
