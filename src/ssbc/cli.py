@@ -61,13 +61,6 @@ def _scalar(value) -> str:
     return str(value)
 
 
-def _emit(data: dict, fmt: str) -> None:
-    if fmt == "human":
-        print("\n".join(_render_human(data)))
-    else:
-        print(canonical_json(data))
-
-
 def _regime_from_flags(args):
     from .coverage import CoverageRegime
 
@@ -104,7 +97,7 @@ def _simulate_csv(config, report) -> str:
     return "\n".join(lines)
 
 
-def _cmd_adjust(args) -> int:
+def _cmd_adjust(args):
     from .adjust import dkwm_adjust, ssbc_adjust
     from .coverage import CalibrationContext
 
@@ -113,30 +106,23 @@ def _cmd_adjust(args) -> int:
         raise _UsageError("the dkwm method has no finite-window variant")
     regime = _regime_from_flags(args)
     report = ssbc_adjust(ctx, regime) if args.method == "ssbc" else dkwm_adjust(ctx)
-    _emit(report.to_dict(), args.format)
-    return EXIT_OK if report.feasible else EXIT_INFEASIBLE
+    return report.to_dict(), report.feasible
 
 
-def _cmd_feasible(args) -> int:
+def _cmd_feasible(args):
     from .feasibility import feasibility_report
 
-    report = feasibility_report(args.n, args.delta, m=args.m)
-    _emit(report.to_dict(), args.format)
-    return EXIT_OK
+    return feasibility_report(args.n, args.delta, m=args.m).to_dict(), True
 
 
-def _cmd_rungs(args) -> int:
+def _cmd_rungs(args):
     from .feasibility import rung_table
 
     table = rung_table(args.n, args.alpha, _regime_from_flags(args))
-    if args.format == "csv":
-        print(_rungs_csv(table))
-    else:
-        _emit(table.to_dict(), args.format)
-    return EXIT_OK
+    return (_rungs_csv(table) if args.format == "csv" else table.to_dict()), True
 
 
-def _cmd_mondrian(args) -> int:
+def _cmd_mondrian(args):
     from .mondrian import MondrianSpec, ssbc_mondrian
 
     spec = MondrianSpec(
@@ -149,14 +135,11 @@ def _cmd_mondrian(args) -> int:
     )
     report = ssbc_mondrian(spec)
     data = report.to_dict()
-    data["inputs"]["k"] = spec.k
-    data["inputs"]["k_j"] = spec.k_j
-    data["inputs"]["n_j"] = spec.n_j
-    _emit(data, args.format)
-    return EXIT_OK if report.feasible else EXIT_INFEASIBLE
+    data["inputs"].update(k=spec.k, k_j=spec.k_j, n_j=spec.n_j)
+    return data, report.feasible
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     from .mc import SimConfig, run_simulation
 
     config = SimConfig(
@@ -170,11 +153,7 @@ def _cmd_simulate(args) -> int:
         methods=tuple(args.methods.split(",")),
     )
     report = run_simulation(config, workers=args.workers)
-    if args.format == "csv":
-        print(_simulate_csv(config, report))
-    else:
-        _emit(report.to_dict(), args.format)
-    return EXIT_OK
+    return (_simulate_csv(config, report) if args.format == "csv" else report.to_dict()), True
 
 
 # Each flag's settings, stated once.  A flag with no default is required
@@ -231,26 +210,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command.  Each ``_cmd_*`` returns its output (a dict, or the
+    CSV text) and whether the request was feasible; only this prints, and
+    every error, in parsing or in the run, ends here with exit 1."""
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        status = args.func(args)
+        args = build_parser().parse_args(argv)
+        output, feasible = args.func(args)
+        if args.format == "json":
+            output = canonical_json(output)
+        elif args.format == "human":
+            output = "\n".join(_render_human(output))
+        print(output)
         # Flushed here so that a reader that closed the pipe is seen below.
         sys.stdout.flush()
-        return status
+        return EXIT_OK if feasible else EXIT_INFEASIBLE
     except BrokenPipeError:
         # The reader is gone (e.g. `| head`).  Point stdout at devnull so
         # that the flush at exit does not fail again, and end quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OverflowError, MemoryError) as exc:
+    except (_UsageError, ValueError, OverflowError, MemoryError) as exc:
         # OverflowError: an input, or a value derived from it, beyond a double.
         # MemoryError: arrays sized from the inputs (simulate's draws) that
         # cannot be allocated; the request fails before it touches memory.

@@ -54,7 +54,8 @@ class Record:
     and the TypeError for a missing, unknown, repeated or surplus argument.
     Equality and hashing go by the field values, and the repr is
     ``Name(field=value, ...)``.  Assignment and deletion raise
-    AttributeError; pickling restores ``__dict__``.
+    AttributeError; pickling restores ``__dict__``.  A report whose JSON is
+    its fields takes :meth:`_to_dict` as its ``to_dict``.
     """
 
     def __init_subclass__(cls) -> None:
@@ -75,6 +76,18 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
+
+    def _to_dict(self) -> dict:
+        """The fields in order, except those that are None, with tuples as
+        lists and records in them as their ``to_dict()``."""
+        out = {}
+        for name in self.__match_args__:
+            value = self.__dict__[name]
+            if isinstance(value, tuple):
+                value = [v.to_dict() if isinstance(v, Record) else v for v in value]
+            if value is not None:
+                out[name] = value
+        return out
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to or delete field {name!r} of a record")

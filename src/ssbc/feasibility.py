@@ -68,19 +68,7 @@ class FeasibilityReport(Record):
             alpha_star_m_laplace=alpha_star_m_laplace
         )
 
-    def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "delta": self.delta,
-            "alpha_star_inf": self.alpha_star_inf,
-            "delta_max_grid": self.delta_max_grid,
-            "implementable": self.implementable,
-        }
-        if self.m is not None:
-            out["m"] = self.m
-            out["alpha_star_m"] = self.alpha_star_m
-            out["alpha_star_m_laplace"] = self.alpha_star_m_laplace
-        return out
+    to_dict = Record._to_dict
 
 
 def _validate(n: int, delta: float) -> None:

@@ -91,21 +91,19 @@ class MethodReport(Record):
         )
 
     def to_dict(self) -> dict:
-        out = {"method": self.method, "skipped": self.skipped}
         if self.skipped:
-            out["note"] = self.note
-            return out
-        out.update(
-            {
-                "alpha_used": self.alpha_used,
-                "u_star": self.u_star,
-                "empirical_violation_rate": self.empirical_violation_rate,
-                "theory_violation_rate": self.theory_violation_rate,
-                "violations": self.violations,
-                "coverage_histogram": list(self.coverage_histogram),
-            }
-        )
-        return out
+            return self._to_dict()
+        # Kept by hand: the method "none" has no rung and prints u_star null.
+        return {
+            "method": self.method,
+            "skipped": self.skipped,
+            "alpha_used": self.alpha_used,
+            "u_star": self.u_star,
+            "empirical_violation_rate": self.empirical_violation_rate,
+            "theory_violation_rate": self.theory_violation_rate,
+            "violations": self.violations,
+            "coverage_histogram": list(self.coverage_histogram),
+        }
 
 
 class SimReport(Record):
@@ -118,17 +116,7 @@ class SimReport(Record):
             runs_completed=runs_completed, seed_echo=seed_echo, methods=methods
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "alpha_target": self.alpha_target,
-            "delta": self.delta,
-            "score_model": self.score_model,
-            "runs_completed": self.runs_completed,
-            "seed_echo": self.seed_echo,
-            "methods": [r.to_dict() for r in self.methods],
-        }
+    to_dict = Record._to_dict
 
 
 def _uniforms(seed: int, counter: int, state: np.ndarray, out: np.ndarray) -> None:
@@ -246,10 +234,10 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
     """Execute the experiment and summarize per-method violation rates,
     coverage histograms, and theory overlays.
 
-    ``workers`` splits the runs into that many disjoint ranges, counted by
-    a thread pool of at most ``os.cpu_count()`` threads (numpy releases the
-    interpreter lock in the array operations); the result does not depend
-    on the worker count.
+    ``workers`` splits the runs into min(workers, runs) disjoint ranges,
+    counted by a thread pool of at most ``os.cpu_count()`` threads (numpy
+    releases the interpreter lock in the array operations); the result does
+    not depend on the worker count.
     """
     check_int("workers", workers)
     # Each method's adjusted level; an infeasible adjuster marks its method

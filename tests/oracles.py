@@ -109,6 +109,23 @@ def bb_window_tail(x_star: int, m: int, n: int, u: int) -> Fraction:
     return Fraction(hits, comb(n + m, draws))
 
 
+def bb_rung_count_tail(x_star: int, m: int, n: int, u: int) -> Fraction:
+    """The same window tail as :func:`bb_window_tail`, as a law of the rung:
+
+        Pr(X >= x*) = Pr(V >= u),  V ~ Beta-Binomial(n; c+1, m-c),  c = m - x*,
+
+    for 1 <= x* <= m.  At most c of the m test scores exceed the
+    (n+1-u)-th smallest calibration score exactly when at least u
+    calibration scores exceed the (c+1)-th largest test score.  Each term
+    is Pr(V = v) = C(v+c, c) C(n-v+m-c-1, m-c-1) / C(n+m, m), in integers.
+    """
+    if not 1 <= x_star <= m:
+        raise ValueError(f"the rung-count law needs 1 <= x* <= m, got x* = {x_star}, m = {m}")
+    c = m - x_star
+    hits = sum(comb(v + c, c) * comb(n - v + m - c - 1, m - c - 1) for v in range(u, n + 1))
+    return Fraction(hits, comb(n + m, m))
+
+
 def log_beta_int(a: int, b: int) -> float:
     """ln B(a, b) through exact integer factorials.
 

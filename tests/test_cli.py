@@ -236,6 +236,8 @@ class TestFeasibleCommand:
         assert data["alpha_star_inf"] == pytest.approx(0.045007414, rel=1e-8)
         assert data["delta_max_grid"] == pytest.approx(0.371527882127, rel=1e-10)
         assert data["implementable"] is True
+        # without --m the window fields are left out, and the rest keep their order
+        assert list(data) == ["n", "delta", "alpha_star_inf", "delta_max_grid", "implementable"]
 
     def test_window_fields(self, capsys):
         code, out, _ = run_cli(capsys, "feasible", "--n", "50", "--delta", "0.1", "--m", "100")

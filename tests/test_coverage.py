@@ -15,7 +15,9 @@ from ssbc.coverage import (
 )
 from ssbc.specfun import beta_survival, betabinom_survival
 
-from oracles import bb_survival, bb_window_tail, beta_survival_int, binom_rung_tail
+from oracles import (
+    bb_rung_count_tail, bb_survival, bb_window_tail, beta_survival_int, binom_rung_tail
+)
 
 
 class TestSnapping:
@@ -171,6 +173,27 @@ class TestTailProb:
         assert 0.0 <= tail <= 1.0
         exact = bb_window_tail(window_threshold(0.485888, 50_000), 50_000, 1000, 2)
         assert abs(tail - exact) <= 1e-12
+
+    def test_window_law_of_the_rung_count(self):
+        # Pr(X >= x*), X ~ BB(m; n+1-u, u), equals Pr(V >= u), V ~ BB(n; c+1, m-c)
+        # with c = m - x*: exactly, between two integer routes, and within the
+        # specfun window contract 1e-15 N ln N, N = n + 1 + m, for tail_prob
+        rng = random.Random(19)
+        rungs = 0
+        for _ in range(200):
+            n, m = rng.randint(1, 40), rng.randint(1, 40)
+            alpha = rng.uniform(0.001, 0.999)
+            x_star = window_threshold(alpha, m)
+            if not 1 <= x_star <= m:
+                continue
+            bound = 1e-15 * (n + 1 + m) * math.log(n + 1 + m)
+            for u in range(1, n + 1):
+                exact = bb_window_tail(x_star, m, n, u)
+                assert bb_rung_count_tail(x_star, m, n, u) == exact, (n, m, x_star, u)
+                tail = tail_prob(n, u, CoverageRegime.window(m), alpha)
+                assert abs(tail - exact) <= bound, (n, m, alpha, u)
+                rungs += 1
+        assert rungs > 2000
 
     def test_exact_binomial_identity_sweep(self):
         # infinite-regime tails against the exact binomial-sum oracle
