@@ -8,12 +8,17 @@ uniforms are outputs ``r*w .. r*w + w - 1`` of SplitMix64 started at state
 count, so any run's draws can be computed without the ones before it
 (Salmon et al., SC 2011).  Reports are therefore byte-identical however
 the runs are split among worker threads.  Runs are counted a block at a
-time: the draws, the score map, the sort, the comparisons and the histogram
-update are each a few array operations per block.
+time, in about twenty array operations however many methods are counted:
+ten make the stream's words, one or two scale them (each score map's
+affine step folded into the conversion to floats), up to eight finish the
+map, one sorts, and five count every method's covered window scores.
+Threads run while numpy releases the interpreter lock inside those
+operations, so fewer, longer ones leave them less time waiting on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
@@ -33,12 +38,13 @@ from .specfun import betabinom_pmf_vector
 
 SCORE_MODELS = ("abs_cauchy", "abs_normal", "uniform")
 METHOD_NAMES = ("none", "ssbc", "dkwm")
-# Draws per block of runs: a thread holds 256 KiB of draws and as much
-# uint64 scratch at a time, or one run's worth of each if that is larger.
+# Draws per block of runs: a thread holds 256 KiB of draws, as much uint64
+# scratch and up to 96 KiB of comparisons at a time, or one run's worth of
+# each if that is larger.
 BLOCK_DRAWS = 1 << 15
 
 # SplitMix64: output i of the generator whose state starts at s is the
-# xor-shift-multiply finalizer in _uniforms applied to s + (i + 1) * _GAMMA
+# xor-shift-multiply finalizer in _words applied to s + (i + 1) * _GAMMA
 # mod 2**64.
 _GAMMA = 0x9E3779B97F4A7C15
 # The state increments of the first BLOCK_DRAWS outputs past a counter.
@@ -119,16 +125,16 @@ class SimReport(Record):
     to_dict = Record._to_dict
 
 
-def _uniforms(seed: int, counter: int, state: np.ndarray, out: np.ndarray) -> None:
-    """Fill out with the uniforms at counters counter, counter+1, ... of
+def _words(seed: int, counter: int, state: np.ndarray, bits: np.ndarray) -> None:
+    """Fill state with the words at counters counter, counter+1, ... of
     seed's stream: output i of SplitMix64 started at state ``seed``,
-    shifted right by 11 bits and scaled by 2**-53.  ``state`` is uint64
-    scratch of out's length; out is float64 and contiguous."""
+    shifted right by 11 bits, so each word v lies in [0, 2**53) and its
+    uniform is U = v * 2**-53.  ``bits`` is uint64 scratch of state's
+    length."""
     for lo in range(0, len(state), BLOCK_DRAWS):
         chunk = state[lo : lo + BLOCK_DRAWS]
         # the offset is taken in Python ints; the per-word sums wrap mod 2**64
         np.add(_STEPS[: len(chunk)], (seed + (counter + lo) * _GAMMA) % 2**64, out=chunk)
-    bits = out.view(np.uint64)  # out holds the shifted words until the end
     np.right_shift(state, 30, out=bits)
     state ^= bits
     state *= 0xBF58476D1CE4E5B9
@@ -138,7 +144,6 @@ def _uniforms(seed: int, counter: int, state: np.ndarray, out: np.ndarray) -> No
     np.right_shift(state, 31, out=bits)
     state ^= bits
     state >>= 11
-    np.multiply(state, 2.0**-53, out=out)
 
 
 def _draw_width(n: int, m: int, score_model: str) -> int:
@@ -147,30 +152,52 @@ def _draw_width(n: int, m: int, score_model: str) -> int:
     return n + m + (n + m) % 2 if score_model == "abs_normal" else n + m
 
 
-def _to_scores(draws: np.ndarray, score_model: str, scratch: np.ndarray) -> None:
-    """Map a block of uniforms, one run per row, to scores in place; every
-    step is elementwise within a row.  ``scratch`` is float64 with at least
-    half as many elements as draws."""
+# The score maps' affine steps, folded into the conversion of the words v
+# to floats: U = v * 2**-53 is exact, and so is scaling by a power of two,
+# so each product in _scale is the real number of the unfolded step,
+# rounded once as it is there.  abs_normal's row halves take -U and U pi/2.
+_NORMAL_SCALE = np.array([[-(2.0**-53)], [np.pi / 2 * 2.0**-53]])
+_NORMAL_SCALE.flags.writeable = False
+
+
+def _scale(words: np.ndarray, score_model: str, out: np.ndarray) -> None:
+    """Write to out the floats that the score map of a block of words, one
+    run per row, starts from: (U - 1/2) pi = (v - 2**52) (pi 2**-53) for
+    abs_cauchy, which overwrites the words; -U on the first half of a row
+    and U pi/2 on the second for abs_normal; U for uniform.  Both arrays
+    are contiguous."""
+    if score_model == "abs_cauchy":
+        signed = words.view(np.int64)
+        signed -= 2**52
+        np.multiply(signed, np.pi * 2.0**-53, out=out)
+    elif score_model == "abs_normal":
+        halves = (len(words), 2, -1)
+        np.multiply(words.reshape(halves), _NORMAL_SCALE, out=out.reshape(halves))
+    else:
+        np.multiply(words, 2.0**-53, out=out)
+
+
+def _to_scores(words: np.ndarray, score_model: str, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Map a block of words, one run per row, to scores in out; every step
+    is elementwise within a row.  ``scratch`` is float64 with at least half
+    as many elements as words, and may share the words' memory."""
+    _scale(words, score_model, out)
     if score_model == "abs_cauchy":
         # |tan(pi (U - 1/2))| is a standard Cauchy folded at zero
-        draws -= 0.5
-        draws *= np.pi
-        np.tan(draws, out=draws)
-        np.abs(draws, out=draws)
+        np.tan(out, out=out)
+        np.abs(out, out=out)
     elif score_model == "abs_normal":
         # Box-Muller folded into the first quadrant: uniform j of a row (U1)
         # and uniform j + w/2 (U2) become |X| = r cos f and |Y| = r sin f,
         # with r = sqrt(-2 ln(1 - U1)) and f = (pi/2) U2.  One tan gives
         # both, as cos f = 1 / sqrt(1 + tan^2 f): numpy's float64 tan
         # costs about a quarter of its sin or cos.
-        half = draws.shape[1] // 2
-        radius, angle = draws[:, :half], draws[:, half:]
-        angle *= np.pi / 2
+        half = out.shape[1] // 2
+        radius, angle = out[:, :half], out[:, half:]
         np.tan(angle, out=angle)
         secant2 = scratch[: radius.size].reshape(radius.shape)
         np.multiply(angle, angle, out=secant2)
         secant2 += 1.0
-        np.negative(radius, out=radius)
         np.log1p(radius, out=radius)
         radius *= -2.0
         radius /= secant2
@@ -182,52 +209,73 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
     """Coverage histograms for runs [start, stop): row j is method j's
     counts over coverage grid 0..m.
 
-    Run r's draws are the uniforms at counters ``r*w .. r*w + w - 1`` of
-    the seed's stream (see :func:`_uniforms`), with ``w`` from
+    Run r's draws are the words at counters ``r*w .. r*w + w - 1`` of the
+    seed's stream (see :func:`_words`), with ``w`` from
     :func:`_draw_width`; its calibration scores are the first n of them
     after the score map and its window scores the next m.  The draws
     depend only on the counter, so the histograms of any split of a range
     sum to those of the whole.  Runs are taken ``max(1, BLOCK_DRAWS // w)``
     at a time (fewer if the range is shorter): each fills one row of the
-    block, and then each method's threshold comparison, count and
-    histogram update is one array operation over the whole block.
+    block.  Every distinct order index k <= n is then compared with every
+    window score of the block in one array operation, and counted in one
+    more; a method whose k is n + 1 covers every window, so its runs need
+    no draws.
     """
     n, m = config.n, config.m
+    orders = sorted({k for k in ks if k <= n})
+    # Row i counts order index orders[i]; the last row is the everything
+    # set (k = n + 1).
+    counts = np.zeros((len(orders) + 1, m + 1), dtype=np.int64)
+    counts[-1, m] = stop - start
+    pick = [orders.index(k) if k <= n else -1 for k in ks]
+    if not orders:
+        return counts[pick]
     width = _draw_width(n, m, config.score_model)
     rows = min(max(1, BLOCK_DRAWS // width), stop - start)
-    # Two arrays per call: the generator state, which serves as the score
-    # map's scratch once the uniforms are made, and the block of draws,
-    # which holds the mixing temporaries before that.
+    # The generator state holds the words, then serves as the score map's
+    # scratch; the block holds the mixing temporaries, then the scores; and
+    # `below` holds each order statistic's comparisons with the window
+    # scores, at most 3 bytes per draw.
     state = np.empty(rows * width, dtype=np.uint64)
     block = np.empty(rows * width, dtype=np.float64)
-    hist = np.zeros((len(ks), m + 1), dtype=np.int64)
+    below = np.empty((rows, len(orders), m), dtype=bool)
+    # count c of row i is element i (m + 1) + c of the flattened counts, in
+    # the narrowest integers that hold every element's index (the bools
+    # sum fastest into those)
+    covered = np.empty((rows, len(orders)), dtype=np.min_scalar_type(counts.size))
+    offsets = np.arange(len(orders), dtype=covered.dtype) * (m + 1)
+    columns = np.array(orders) - 1
     for lo in range(start, stop, rows):
         count = min(rows, stop - lo)
         size = count * width
-        _uniforms(config.seed, lo * width, state[:size], block[:size])
+        words = state[:size]
+        _words(config.seed, lo * width, words, block[:size].view(np.uint64))
         draws = block[:size].reshape(count, width)
-        _to_scores(draws, config.score_model, state.view(np.float64))
+        _to_scores(words.reshape(count, width), config.score_model, draws, state.view(np.float64))
         calibration, window = draws[:, :n], draws[:, n : n + m]
         calibration.sort(axis=1)
-        for j, k in enumerate(ks):
-            if k > n:
-                hist[j, m] += count
-            else:
-                # score equal to the threshold counts as covered
-                covered = np.count_nonzero(window <= calibration[:, k - 1 : k], axis=1)
-                hist[j] += np.bincount(covered, minlength=m + 1)
-    return hist
+        # score equal to the threshold counts as covered
+        np.less_equal(window[:, None, :], calibration[:, columns, None], out=below[:count])
+        np.add.reduce(below[:count], axis=2, out=covered[:count])
+        covered[:count] += offsets
+        np.add.at(counts.reshape(-1), covered[:count], 1)
+    return counts[pick]
 
 
 def theory_overlay(config: SimConfig, method_alpha: float) -> tuple[float, ...]:
     """Coverage pmf over {0..m}/m implied by thresholding at method_alpha:
     Beta-Binomial(m; k, n+1-k) with k the induced order index, collapsing to
     a point mass at full coverage when k = n+1."""
-    k = order_index(method_alpha, config.n)
-    if k > config.n:
-        pmf = [0.0] * config.m + [1.0]
-        return tuple(pmf)
-    return tuple(betabinom_pmf_vector(config.m, k, config.n + 1 - k))
+    return _coverage_pmf(config.m, order_index(method_alpha, config.n), config.n)
+
+
+@functools.lru_cache(maxsize=8)
+def _coverage_pmf(m: int, k: int, n: int) -> tuple[float, ...]:
+    """theory_overlay's pmf of the law (m, k, n), computed once for each of
+    the last 8 laws asked for."""
+    if k > n:
+        return (0.0,) * m + (1.0,)
+    return tuple(betabinom_pmf_vector(m, k, n + 1 - k))
 
 
 def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
@@ -235,9 +283,11 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
     coverage histograms, and theory overlays.
 
     ``workers`` splits the runs into min(workers, runs) disjoint ranges,
-    counted by a thread pool of at most ``os.cpu_count()`` threads (numpy
-    releases the interpreter lock in the array operations); the result does
-    not depend on the worker count.
+    counted by a thread pool of at most ``os.cpu_count()`` threads.  Each
+    thread counts its range a block of ``BLOCK_DRAWS`` draws at a time, in
+    about twenty array operations per block, and numpy releases the
+    interpreter lock inside them; the result does not depend on the worker
+    count.
     """
     check_int("workers", workers)
     # Each method's adjusted level; an infeasible adjuster marks its method

@@ -4,7 +4,8 @@ The laws and scans use exact rational arithmetic only (``math.comb`` /
 ``math.factorial`` / ``Fraction``); they never touch the package's
 log-space evaluation paths, so agreement is a genuine two-route check.
 The last part holds helpers and references that only tests need: a
-pure-Python SplitMix64, the reference for the Monte Carlo stream; a
+pure-Python SplitMix64, the reference for the Monte Carlo stream, and its
+inverse, which finds the counter of a given output; a
 per-method lookup in a simulation report, an exhaustive rung scan to check
 the bisecting grid search against, and the joint predictive law of the
 class-conditional budget, assembled pair by pair from the package's count
@@ -242,6 +243,25 @@ def splitmix64(state: int, i: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
     return z ^ (z >> 31)
+
+
+def splitmix64_counter(state: int, output: int) -> int:
+    """The i with ``splitmix64(state, i) == output``: the finalizer undone
+    step by step (each xor-shift by re-applying it until the shifted bits
+    run out, each multiply by the modular inverse of its odd constant),
+    then the state's steps counted back."""
+    mask = (1 << 64) - 1
+
+    def unshift(z: int, s: int) -> int:
+        x = z
+        for _ in range(64 // s):
+            x = z ^ (x >> s)
+        return x
+
+    z = unshift(output, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & mask, 27)
+    z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask, 30)
+    return ((z - state) * pow(0x9E3779B97F4A7C15, -1, 1 << 64) - 1) & mask
 
 
 def stream_uniform(seed: int, counter: int) -> float:

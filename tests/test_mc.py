@@ -14,20 +14,37 @@ from ssbc.mc import (
     SimConfig,
     _count_runs,
     _draw_width,
+    _scale,
     _to_scores,
-    _uniforms,
+    _words,
     run_simulation,
     theory_overlay,
 )
 from ssbc.serialize import canonical_json
+from ssbc.specfun import betabinom_pmf_vector
 
-from oracles import bb_survival, method_report, splitmix64, stream_uniform
+from oracles import bb_survival, method_report, splitmix64, splitmix64_counter, stream_uniform
+
+
+def kernel_words(seed, counter, count):
+    """``count`` words of the package's stream from ``counter`` on."""
+    words = np.empty(count, dtype=np.uint64)
+    _words(seed, counter, words, np.empty(count, dtype=np.uint64))
+    return words
 
 
 def kernel_uniforms(seed, counter, count):
-    """``count`` uniforms of the package's stream from ``counter`` on."""
-    out = np.empty(count)
-    _uniforms(seed, counter, np.empty(count, dtype=np.uint64), out)
+    """``count`` uniforms of the package's stream from ``counter`` on: its
+    words through the uniform score model's conversion."""
+    out = np.empty((1, count))
+    _scale(kernel_words(seed, counter, count).reshape(1, count), "uniform", out)
+    return out[0]
+
+
+def kernel_scores(words, score_model):
+    """The package's scores of a block of words, one run per row."""
+    out = np.empty(words.shape)
+    _to_scores(words.copy(), score_model, out, np.empty(words.size // 2 + 1))
     return out
 
 
@@ -60,6 +77,14 @@ class TestTheoryOverlay:
         config = SimConfig(n=3, m=5, alpha_target=0.5, delta=0.1, runs=10, seed=1)
         pmf = theory_overlay(config, 0.01)  # order index 4 = n+1
         assert pmf == (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+
+    def test_each_law_is_computed_once(self):
+        # the nominal level and a level just below it share order index 46
+        pmf = theory_overlay(self.CONFIG, 0.1)
+        assert theory_overlay(self.CONFIG, 0.1 - 1e-9) is pmf
+        assert theory_overlay(SimConfig(n=50, m=100, alpha_target=0.3, delta=0.4, runs=1,
+                                        seed=9), 0.1) is pmf
+        assert pmf == tuple(betabinom_pmf_vector(100, 46, 5))
 
     def test_single_item_window(self):
         config = SimConfig(n=9, m=1, alpha_target=0.2, delta=0.1, runs=10, seed=1)
@@ -248,8 +273,7 @@ class TestGenerator:
 
     def test_folded_box_muller_is_half_normal(self):
         rows, width = 1000, 400
-        draws = kernel_uniforms(99, 0, rows * width).reshape(rows, width)
-        _to_scores(draws, "abs_normal", np.empty(draws.size // 2))
+        draws = kernel_scores(kernel_words(99, 0, rows * width).reshape(rows, width), "abs_normal")
         half = width // 2
         folded_x, folded_y = draws[:, :half].ravel(), draws[:, half:].ravel()
         half_normal_cdf = np.vectorize(lambda x: math.erf(x / math.sqrt(2)))
@@ -266,13 +290,34 @@ class TestGenerator:
 
     def test_tan_form_matches_sin_cos(self):
         rows, width = 50, 64
-        draws = kernel_uniforms(5, 0, rows * width).reshape(rows, width)
+        words = kernel_words(5, 0, rows * width).reshape(rows, width)
+        draws = words * 2.0**-53
         half = width // 2
         radius = np.sqrt(-2.0 * np.log1p(-draws[:, :half]))
         angle = np.pi / 2 * draws[:, half:]
         expected = np.hstack([radius * np.cos(angle), radius * np.sin(angle)])
-        _to_scores(draws, "abs_normal", np.empty(draws.size // 2))
-        np.testing.assert_allclose(draws, expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(kernel_scores(words, "abs_normal"), expected, rtol=1e-12, atol=0)
+
+    def test_folded_affine_steps_are_exact(self):
+        # the score maps' first steps, folded into the conversion of the
+        # words, against the unfolded arithmetic on the reference uniforms:
+        # 10**5 stream draws, with the counters whose U is 0, 1/2 and
+        # 1 - 2**-53 at both ends, so that both halves of abs_normal's row
+        # see them
+        seed = 2024
+        edges = [splitmix64_counter(seed, v << 11) for v in (0, 2**52, 2**53 - 1)]
+        uniforms = np.array([stream_uniform(seed, c) for c in edges + list(range(10**5)) + edges])
+        assert uniforms[-3:].tolist() == [0.0, 0.5, 1 - 2**-53]
+        edge_words = [kernel_words(seed, c, 1) for c in edges]
+        words = np.concatenate(edge_words + [kernel_words(seed, 0, 10**5)] + edge_words)
+        half = len(words) // 2
+        for score_model, expected in (
+            ("abs_cauchy", (uniforms - 0.5) * np.pi),
+            ("abs_normal", np.concatenate([-uniforms[:half], uniforms[half:] * (np.pi / 2)])),
+        ):
+            out = np.empty((1, len(words)))
+            _scale(words.copy().reshape(1, -1), score_model, out)
+            assert np.array_equal(out[0], expected), score_model
 
 
 class TestStreams:
@@ -316,6 +361,17 @@ class TestStreams:
         report = run_simulation(SimConfig(**case))
         assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("case, digest", [p for p in PINNED if len(p[0]["methods"]) > 1])
+    def test_block_size_does_not_change_bytes(self, case, digest, monkeypatch):
+        # 2**10 draws a block: 4 runs a block at w = 250, and 35 fills of
+        # the step table for one run of w = 35000
+        import ssbc.mc
+
+        monkeypatch.setattr(ssbc.mc, "BLOCK_DRAWS", 2**10)
+        monkeypatch.setattr(ssbc.mc, "_STEPS", ssbc.mc._STEPS[: 2**10])
+        report = run_simulation(SimConfig(**case))
+        assert hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest() == digest
+
     @staticmethod
     def per_run_loop(config, ks, start, stop):
         """The counting kernel one run at a time on the reference generator:
@@ -349,6 +405,20 @@ class TestStreams:
                 assert np.array_equal(
                     _count_runs(config, ks, start, stop), self.per_run_loop(config, ks, start, stop)
                 ), (config, ks, start, stop)
+
+    def test_methods_sharing_an_order_index(self):
+        # each distinct order index is counted once and copied to every
+        # method that has it, the everything set among them
+        rng = random.Random(1213)
+        for score_model in ("abs_cauchy", "uniform"):
+            n, m = rng.randint(2, 120), rng.randint(1, 120)
+            config = SimConfig(n=n, m=m, alpha_target=0.1, delta=0.1, runs=300,
+                               seed=rng.randrange(2**64), score_model=score_model)
+            k = rng.randint(1, n)
+            for ks in ((k, k, n + 1), (n + 1, k, n + 1, k), (n + 1, n + 1)):
+                assert np.array_equal(
+                    _count_runs(config, ks, 17, 300), self.per_run_loop(config, ks, 17, 300)
+                ), (config, ks)
 
     @pytest.mark.parametrize("score_model", ("abs_cauchy", "abs_normal", "uniform"))
     def test_any_partition_sums_to_the_whole(self, score_model):
