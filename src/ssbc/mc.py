@@ -18,7 +18,6 @@ operations, so fewer, longer ones leave them less time waiting on it.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 
@@ -152,38 +151,25 @@ def _draw_width(n: int, m: int, score_model: str) -> int:
     return n + m + (n + m) % 2 if score_model == "abs_normal" else n + m
 
 
-# The score maps' affine steps, folded into the conversion of the words v
-# to floats: U = v * 2**-53 is exact, and so is scaling by a power of two,
-# so each product in _scale is the real number of the unfolded step,
-# rounded once as it is there.  abs_normal's row halves take -U and U pi/2.
+# abs_normal's affine steps, one per half of a row of words: -U and U pi/2.
 _NORMAL_SCALE = np.array([[-(2.0**-53)], [np.pi / 2 * 2.0**-53]])
 _NORMAL_SCALE.flags.writeable = False
 
 
-def _scale(words: np.ndarray, score_model: str, out: np.ndarray) -> None:
-    """Write to out the floats that the score map of a block of words, one
-    run per row, starts from: (U - 1/2) pi = (v - 2**52) (pi 2**-53) for
-    abs_cauchy, which overwrites the words; -U on the first half of a row
-    and U pi/2 on the second for abs_normal; U for uniform.  Both arrays
-    are contiguous."""
+def _to_scores(words: np.ndarray, score_model: str, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Map a block of words, one run per row, to scores in out; every step
+    is elementwise within a row.  Each map's affine step is folded into the
+    conversion of the words v to floats: U = v 2**-53 is exact, and so is
+    scaling by a power of two, so each product below is the real number of
+    the unfolded step, rounded once as it is there.  abs_cauchy overwrites
+    the words; ``scratch`` is float64 with at least half as many elements
+    as words, and may share the words' memory."""
     if score_model == "abs_cauchy":
+        # |tan(pi (U - 1/2))| is a standard Cauchy folded at zero, and
+        # (U - 1/2) pi = (v - 2**52) (pi 2**-53)
         signed = words.view(np.int64)
         signed -= 2**52
         np.multiply(signed, np.pi * 2.0**-53, out=out)
-    elif score_model == "abs_normal":
-        halves = (len(words), 2, -1)
-        np.multiply(words.reshape(halves), _NORMAL_SCALE, out=out.reshape(halves))
-    else:
-        np.multiply(words, 2.0**-53, out=out)
-
-
-def _to_scores(words: np.ndarray, score_model: str, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Map a block of words, one run per row, to scores in out; every step
-    is elementwise within a row.  ``scratch`` is float64 with at least half
-    as many elements as words, and may share the words' memory."""
-    _scale(words, score_model, out)
-    if score_model == "abs_cauchy":
-        # |tan(pi (U - 1/2))| is a standard Cauchy folded at zero
         np.tan(out, out=out)
         np.abs(out, out=out)
     elif score_model == "abs_normal":
@@ -192,6 +178,8 @@ def _to_scores(words: np.ndarray, score_model: str, out: np.ndarray, scratch: np
         # with r = sqrt(-2 ln(1 - U1)) and f = (pi/2) U2.  One tan gives
         # both, as cos f = 1 / sqrt(1 + tan^2 f): numpy's float64 tan
         # costs about a quarter of its sin or cos.
+        halves = (len(words), 2, -1)
+        np.multiply(words.reshape(halves), _NORMAL_SCALE, out=out.reshape(halves))
         half = out.shape[1] // 2
         radius, angle = out[:, :half], out[:, half:]
         np.tan(angle, out=angle)
@@ -203,6 +191,8 @@ def _to_scores(words: np.ndarray, score_model: str, out: np.ndarray, scratch: np
         radius /= secant2
         np.sqrt(radius, out=radius)  # |X| = r cos f
         angle *= radius  # |Y| = |X| tan f
+    else:
+        np.multiply(words, 2.0**-53, out=out)
 
 
 def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -> np.ndarray:
@@ -266,16 +256,11 @@ def theory_overlay(config: SimConfig, method_alpha: float) -> tuple[float, ...]:
     """Coverage pmf over {0..m}/m implied by thresholding at method_alpha:
     Beta-Binomial(m; k, n+1-k) with k the induced order index, collapsing to
     a point mass at full coverage when k = n+1."""
-    return _coverage_pmf(config.m, order_index(method_alpha, config.n), config.n)
-
-
-@functools.lru_cache(maxsize=8)
-def _coverage_pmf(m: int, k: int, n: int) -> tuple[float, ...]:
-    """theory_overlay's pmf of the law (m, k, n), computed once for each of
-    the last 8 laws asked for."""
-    if k > n:
-        return (0.0,) * m + (1.0,)
-    return tuple(betabinom_pmf_vector(m, k, n + 1 - k))
+    k = order_index(method_alpha, config.n)
+    if k > config.n:
+        pmf = [0.0] * config.m + [1.0]
+        return tuple(pmf)
+    return tuple(betabinom_pmf_vector(config.m, k, config.n + 1 - k))
 
 
 def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:

@@ -472,34 +472,6 @@ class TestSimulateCommand:
         # one row per method per coverage level
         assert len(lines) == 1 + 2 * 21
 
-    def test_csv_computes_each_theory_law_once(self, capsys, monkeypatch):
-        from ssbc import mc
-
-        calls = []
-
-        def counted(m, a, b):
-            calls.append((m, a, b))
-            return real(m, a, b)
-
-        real = mc.betabinom_pmf_vector
-        monkeypatch.setattr(mc, "betabinom_pmf_vector", counted)
-        argv = (*self.ARGS, "--methods", "none,ssbc,dkwm", "--format", "csv")
-        mc._coverage_pmf.cache_clear()
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == EXIT_OK
-        # none, ssbc and dkwm threshold at order indices 12, 14 and 16 of
-        # n = 15; the last is the everything set, whose pmf needs no law
-        laws = [(20, 12, 4), (20, 14, 2)]
-        assert sorted(calls) == laws
-        # a second call computes nothing; without the memo the bytes are the
-        # same, and each law is computed twice, for its violation rate and
-        # for its CSV rows
-        assert run_cli(capsys, *argv)[1] == out
-        assert len(calls) == len(laws)
-        monkeypatch.setattr(mc, "_coverage_pmf", mc._coverage_pmf.__wrapped__)
-        assert run_cli(capsys, *argv)[1] == out
-        assert sorted(calls) == sorted(laws * 3)
-
     def test_method_subset(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS, "--methods", "dkwm")
         data = json.loads(out)

@@ -14,14 +14,12 @@ from ssbc.mc import (
     SimConfig,
     _count_runs,
     _draw_width,
-    _scale,
     _to_scores,
     _words,
     run_simulation,
     theory_overlay,
 )
 from ssbc.serialize import canonical_json
-from ssbc.specfun import betabinom_pmf_vector
 
 from oracles import bb_survival, method_report, splitmix64, splitmix64_counter, stream_uniform
 
@@ -35,10 +33,8 @@ def kernel_words(seed, counter, count):
 
 def kernel_uniforms(seed, counter, count):
     """``count`` uniforms of the package's stream from ``counter`` on: its
-    words through the uniform score model's conversion."""
-    out = np.empty((1, count))
-    _scale(kernel_words(seed, counter, count).reshape(1, count), "uniform", out)
-    return out[0]
+    words through the uniform score map."""
+    return kernel_scores(kernel_words(seed, counter, count).reshape(1, count), "uniform")[0]
 
 
 def kernel_scores(words, score_model):
@@ -46,6 +42,32 @@ def kernel_scores(words, score_model):
     out = np.empty(words.shape)
     _to_scores(words.copy(), score_model, out, np.empty(words.size // 2 + 1))
     return out
+
+
+def unfolded_scores(uniforms, score_model):
+    """The score maps on a row of uniforms with each affine step a ufunc of
+    its own, the arithmetic that _to_scores folds into its conversion of
+    the words."""
+    draws = uniforms.reshape(1, -1).copy()
+    if score_model == "abs_cauchy":
+        draws -= 0.5
+        draws *= np.pi
+        np.tan(draws, out=draws)
+        np.abs(draws, out=draws)
+    elif score_model == "abs_normal":
+        half = draws.shape[1] // 2
+        radius, angle = draws[:, :half], draws[:, half:]
+        angle *= np.pi / 2
+        np.tan(angle, out=angle)
+        secant2 = angle * angle
+        secant2 += 1.0
+        np.negative(radius, out=radius)
+        np.log1p(radius, out=radius)
+        radius *= -2.0
+        radius /= secant2
+        np.sqrt(radius, out=radius)
+        angle *= radius
+    return draws[0]
 
 
 class TestViolationThreshold:
@@ -77,14 +99,6 @@ class TestTheoryOverlay:
         config = SimConfig(n=3, m=5, alpha_target=0.5, delta=0.1, runs=10, seed=1)
         pmf = theory_overlay(config, 0.01)  # order index 4 = n+1
         assert pmf == (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
-
-    def test_each_law_is_computed_once(self):
-        # the nominal level and a level just below it share order index 46
-        pmf = theory_overlay(self.CONFIG, 0.1)
-        assert theory_overlay(self.CONFIG, 0.1 - 1e-9) is pmf
-        assert theory_overlay(SimConfig(n=50, m=100, alpha_target=0.3, delta=0.4, runs=1,
-                                        seed=9), 0.1) is pmf
-        assert pmf == tuple(betabinom_pmf_vector(100, 46, 5))
 
     def test_single_item_window(self):
         config = SimConfig(n=9, m=1, alpha_target=0.2, delta=0.1, runs=10, seed=1)
@@ -299,7 +313,7 @@ class TestGenerator:
         np.testing.assert_allclose(kernel_scores(words, "abs_normal"), expected, rtol=1e-12, atol=0)
 
     def test_folded_affine_steps_are_exact(self):
-        # the score maps' first steps, folded into the conversion of the
+        # each score map, its affine step folded into the conversion of the
         # words, against the unfolded arithmetic on the reference uniforms:
         # 10**5 stream draws, with the counters whose U is 0, 1/2 and
         # 1 - 2**-53 at both ends, so that both halves of abs_normal's row
@@ -310,14 +324,9 @@ class TestGenerator:
         assert uniforms[-3:].tolist() == [0.0, 0.5, 1 - 2**-53]
         edge_words = [kernel_words(seed, c, 1) for c in edges]
         words = np.concatenate(edge_words + [kernel_words(seed, 0, 10**5)] + edge_words)
-        half = len(words) // 2
-        for score_model, expected in (
-            ("abs_cauchy", (uniforms - 0.5) * np.pi),
-            ("abs_normal", np.concatenate([-uniforms[:half], uniforms[half:] * (np.pi / 2)])),
-        ):
-            out = np.empty((1, len(words)))
-            _scale(words.copy().reshape(1, -1), score_model, out)
-            assert np.array_equal(out[0], expected), score_model
+        for score_model in ("abs_cauchy", "abs_normal", "uniform"):
+            scores = kernel_scores(words.reshape(1, -1), score_model)[0]
+            assert np.array_equal(scores, unfolded_scores(uniforms, score_model)), score_model
 
 
 class TestStreams:
