@@ -169,19 +169,16 @@ def dkwm_adjust(ctx: CalibrationContext) -> AdjustmentReport:
             epsilon=eps,
             note="alpha_target - eps is not positive",
         )
-    k = order_index(alpha_adj, n)
-    if k == n + 1:
-        # everything-set: coverage is identically 1
-        tail = 1.0
-    else:
-        tail = tail_prob(n, n + 1 - k, regime, ctx.alpha_target)
+    u = n + 1 - order_index(alpha_adj, n)
+    # at u = 0 the threshold is the everything-set: coverage is identically 1
+    tail = tail_prob(n, u, regime, ctx.alpha_target) if u else 1.0
     return AdjustmentReport(
         feasible=True,
         method=METHOD_DKWM,
         context=ctx,
         regime=regime,
         alpha_adj=alpha_adj,
-        u_star=n + 1 - k,
+        u_star=u,
         achieved_tail=tail,
         achieved_violation=1.0 - tail,
         epsilon=eps,

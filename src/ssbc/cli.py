@@ -89,7 +89,7 @@ def _simulate_csv(config, report) -> str:
     for method in report.methods:
         if method.skipped:
             continue
-        pmf = theory_overlay(config, method.alpha_used)
+        pmf = theory_overlay(config, method)
         for level, (count, theory) in enumerate(zip(method.coverage_histogram, pmf)):
             lines.append(
                 f"{method.method},{format_float(level / report.m)},{count},{format_float(theory)}"

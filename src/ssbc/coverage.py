@@ -6,27 +6,21 @@ test points the covered count follows Beta-Binomial(m; n+1-u, u).  The
 integer rung u is what the searches pass to :func:`tail_prob`, the source
 of every tail the package decides on; this module also owns the maps from
 a level to a count (:func:`order_index`, :func:`highest_grid_index_below`,
-:func:`window_threshold`), the float snapping that keeps their ceil honest
-at exact grid points, and :class:`Record`, the base of the package's value
-types.
+:func:`window_threshold`) and :class:`Record`, the base of the package's
+value types.
+
+A level means the decimal that ``repr`` prints, N / 10**d, and each map is
+an exact integer ceiling of it times a count.  A grid level u/(n+1) prints
+as no such rational in general, so a rung travels as its integer u.
 """
 
 from __future__ import annotations
-
-import math
 
 from .specfun import beta_survival, betabinom_survival
 from .specfun import check_int  # re-exported: the package's one integer validator
 
 INFINITE_TEST = "infinite"
 FINITE_WINDOW = "window"
-
-# Relative slack (in units of the scale argument) under which a float is
-# treated as the exact integer it is, before applying ceil/floor: a few
-# double rounding units.  The rounding noise of a grid level or a decimal
-# level times a scale up to 1e12 measured below 1.7e-16 * scale; a wider
-# band snaps true non-integers once 1 / scale nears it.
-_SNAP_TOL = 4 * 2.0**-52
 
 
 def check_unit(name: str, value: float) -> None:
@@ -35,14 +29,12 @@ def check_unit(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
-def snapped_ceil(value: float, scale: float = 1.0) -> int:
-    """ceil(value), except values within snapping distance of an integer
-    are taken as that integer (representation noise must not shift the
-    order statistic by one)."""
-    nearest = round(value)
-    if abs(value - nearest) <= _SNAP_TOL * max(1.0, abs(scale)):
-        return int(nearest)
-    return math.ceil(value)
+def _decimal(level: float) -> tuple[int, int]:
+    """(N, D) with N / D the decimal that repr prints for the level and D
+    a power of ten; a level in (0, 1) prints as one in (0, 1)."""
+    mantissa, _, exponent = repr(float(level)).partition("e")
+    whole, _, digits = mantissa.partition(".")
+    return int(whole + digits), 10 ** (len(digits) - int(exponent or 0))
 
 
 class Record:
@@ -131,28 +123,30 @@ class CalibrationContext(Record):
 
 
 def order_index(alpha: float, n: int) -> int:
-    """The order-statistic index k = ceil((1-alpha)(n+1)), in 1..n+1.
+    """The order-statistic index k = ceil((1-alpha)(n+1)), in 1..n+1: the
+    :func:`window_threshold` of a window of n+1.
 
     k = n+1 signals the degenerate everything-set (threshold = +inf).
     """
     check_int("n", n)
-    check_unit("alpha", alpha)
-    k = snapped_ceil((1.0 - alpha) * (n + 1), scale=n + 1)
-    return max(1, min(n + 1, k))
+    return window_threshold(alpha, n + 1)
 
 
 def highest_grid_index_below(alpha_target: float, n: int) -> int:
-    """Largest u with u/(n+1) strictly below alpha_target (0 if none)."""
-    u_max = snapped_ceil(alpha_target * (n + 1), scale=n + 1) - 1
-    return max(0, min(n, u_max))
+    """Largest u with u/(n+1) strictly below alpha_target (0 if none):
+    ceil(alpha_target (n+1)) - 1."""
+    N, D = _decimal(alpha_target)
+    return (N * (n + 1) - 1) // D
 
 
 def window_threshold(alpha_target: float, m: int) -> int:
     """Smallest covered count of a window of size m that meets the target:
-    x* = ceil((1-alpha_target) m), snapped and clipped to 0..m+1.  A window
-    with fewer covered points violates the target."""
-    x_star = snapped_ceil((1.0 - alpha_target) * m, scale=m)
-    return max(0, min(m + 1, x_star))
+    x* = ceil((1-alpha_target) m), in 1..m, with alpha_target read as its
+    decimal.  A window with fewer covered points violates the target."""
+    check_int("window size m", m)
+    check_unit("alpha_target", alpha_target)
+    N, D = _decimal(alpha_target)
+    return -((N - D) * m // D)
 
 
 def tail_prob(n: int, u: int, regime: CoverageRegime, alpha_target: float) -> float:

@@ -25,13 +25,7 @@ import numpy as np
 
 from .adjust import dkwm_adjust, ssbc_adjust
 from .coverage import (
-    CalibrationContext,
-    CoverageRegime,
-    Record,
-    check_int,
-    check_unit,
-    order_index,
-    window_threshold,
+    CalibrationContext, CoverageRegime, Record, check_int, check_unit, order_index, window_threshold
 )
 from .specfun import betabinom_pmf_vector
 
@@ -252,14 +246,20 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
     return counts[pick]
 
 
-def theory_overlay(config: SimConfig, method_alpha: float) -> tuple[float, ...]:
-    """Coverage pmf over {0..m}/m implied by thresholding at method_alpha:
-    Beta-Binomial(m; k, n+1-k) with k the induced order index, collapsing to
-    a point mass at full coverage when k = n+1."""
-    k = order_index(method_alpha, config.n)
+def _order_index(config: SimConfig, method: MethodReport) -> int:
+    """The order index a method thresholds at: n + 1 - u_star from its
+    adjuster's rung, or the target's own for the method "none"."""
+    rung = method.u_star
+    return order_index(config.alpha_target, config.n) if rung is None else config.n + 1 - rung
+
+
+def theory_overlay(config: SimConfig, method: MethodReport) -> tuple[float, ...]:
+    """Coverage pmf over {0..m}/m of a method of a run of config:
+    Beta-Binomial(m; k, n+1-k) at the order index k it thresholds at,
+    collapsing to a point mass at full coverage when k = n+1."""
+    k = _order_index(config, method)
     if k > config.n:
-        pmf = [0.0] * config.m + [1.0]
-        return tuple(pmf)
+        return (0.0,) * config.m + (1.0,)
     return tuple(betabinom_pmf_vector(config.m, k, config.n + 1 - k))
 
 
@@ -291,7 +291,7 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
             if adj.feasible else MethodReport(name, skipped=True, note=adj.note)
         )
     active = [i for i, report in enumerate(reports) if not report.skipped]
-    ks = tuple(order_index(reports[i].alpha_used, config.n) for i in active)
+    ks = tuple(_order_index(config, reports[i]) for i in active)
 
     total = np.zeros((len(ks), config.m + 1), dtype=np.int64)
     if ks:
@@ -320,7 +320,7 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
             alpha_used=report.alpha_used,
             u_star=report.u_star,
             empirical_violation_rate=violations / config.runs,
-            theory_violation_rate=math.fsum(theory_overlay(config, report.alpha_used)[:x_star]),
+            theory_violation_rate=math.fsum(theory_overlay(config, report)[:x_star]),
             violations=violations,
             coverage_histogram=tuple(int(c) for c in hist),
         )

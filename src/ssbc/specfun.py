@@ -14,7 +14,8 @@ each with the rounding of lgamma values of size about N ln N, N = a + b + m,
 so the absolute error of the pmf sums grows like N ln N; against exact
 integer arithmetic it stayed below 1e-15 * N ln N (tails at shapes
 (n+1-u, u): 1.2e-12 at n = m = 1e3, 4.8e-11 at n = m = 1e4, 3.5e-10 at
-n = 1e3 and m = 1e5, 2.9e-9 at n = 1e3 and m = 1e6).
+n = 1e3 and m = 1e5, 2.9e-9 at n = 1e3 and m = 1e6).  A tail is summed
+on the shorter side of its threshold, of at most MAX_WINDOW_TERMS terms.
 
 Every function takes the law's parameters as plain numbers, in the order
 scipy.stats uses: the point, then the trial count m of a Beta-Binomial, then
@@ -36,6 +37,8 @@ from itertools import accumulate
 # variance above MAX_WALK_VARIANCE (~2e6 terms: ~1 s, 60 MB) is refused.
 _WALK_CUTOFF = 2.0**-60
 MAX_WALK_VARIANCE = 2**34
+# Most terms a window tail sums on its shorter side (2-3 us each on 2 vCPUs).
+MAX_WINDOW_TERMS = 2**16
 # A full Beta-Binomial pmf whose terms sum further than this from 1 is refused:
 # the slack the benchmark's checks allow a tail.
 PMF_MASS_SLACK = 1e-6
@@ -209,10 +212,13 @@ def betabinom_survival(x_star: int, m: int, a: float, b: float) -> float:
     The side of x_star with fewer terms is summed (with exact summation);
     that is not always the side with the smaller mass, so the per-term
     rounding can carry the result a little past 0 or 1, and it is clamped
-    to [0, 1].
+    to [0, 1].  A side of more than MAX_WINDOW_TERMS terms is refused.
     """
     _check_law(a, b, m)
     check_int("x_star", x_star, 0, m + 1)
+    if min(x_star, m + 1 - x_star) > MAX_WINDOW_TERMS:
+        raise ValueError(f"Pr(X >= {x_star}), X ~ Beta-Binomial(m={m}; a={a!r}, b={b!r}), is too "
+                         f"wide to sum: both sides exceed MAX_WINDOW_TERMS = {MAX_WINDOW_TERMS}")
     if m - x_star + 1 <= x_star:
         tail = math.fsum(_betabinom_terms(m, a, b, x_star, m + 1))
     else:

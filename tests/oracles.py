@@ -22,7 +22,6 @@ from math import comb, factorial
 
 import numpy as np
 
-from ssbc.coverage import order_index
 from ssbc.mondrian import MondrianSpec, class_count_predictive
 from ssbc.specfun import betabinom_pmf
 
@@ -291,15 +290,6 @@ def full_scan(tail_fn, u_hi: int, threshold):
     return best
 
 
-def miscoverage_count(alpha: float, n_j: int) -> int:
-    """Calibration miscoverage count s_j = n_j - ceil((1-alpha)(n_j+1)) + 1.
-
-    May be 0 when alpha < 1/(n_j+1); downstream treats 0 and n_j as
-    degenerate.  On the grid alpha = u/(n_j+1) it equals u.
-    """
-    return n_j - order_index(alpha, n_j) + 1
-
-
 def error_cap(alpha: float, r: int) -> int:
     """The per-window error budget floor(alpha r), with alpha read as the
     decimal it prints as, in exact rationals (0.29 of 100 is 29, although
@@ -342,15 +332,12 @@ class JointPredictive:
         )
 
 
-def joint_predictive(spec: MondrianSpec, alpha_for_s: float) -> JointPredictive:
+def joint_predictive(spec: MondrianSpec, s_j: int) -> JointPredictive:
     """Joint law Pr(e_j = e, m_j = r) = Pr(m_j = r) Pr(e_j = e | m_j = r),
-    with the error-rate law parameterized by the miscoverage count that
-    alpha_for_s induces.  Raises RuntimeError if its mass is not 1."""
-    s_j = miscoverage_count(alpha_for_s, spec.n_j)
+    with the error-rate law parameterized by the miscoverage count s_j (on
+    the grid, the rung u).  Raises RuntimeError if its mass is not 1."""
     if s_j <= 0 or s_j >= spec.n_j:
-        raise DegenerateRungError(
-            f"alpha={alpha_for_s} gives degenerate s_j={s_j} for n_j={spec.n_j}"
-        )
+        raise DegenerateRungError(f"s_j={s_j} is degenerate for n_j={spec.n_j}")
     count_pmf = class_count_predictive(spec)
     probs = np.zeros((spec.m + 1, spec.m + 1))
     for r in range(spec.m + 1):

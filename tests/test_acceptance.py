@@ -167,7 +167,7 @@ def test_criterion_3_theory_histogram_agreement(sim_n50, sim_n100):
             runs=report.runs_completed, seed=report.seed_echo,
         )
         for method in report.methods:
-            overlay = theory_overlay(config, method.alpha_used)
+            overlay = theory_overlay(config, method)
             tv = total_variation(method.coverage_histogram, overlay)
             ok = ok and tv <= 0.01
             details.append(f"n={report.n} {method.method}: TV={tv:.5f}")
@@ -301,7 +301,7 @@ def test_criterion_7_mondrian_sweep():
             delta=rng.uniform(0.05, 0.9),
         )
         u = rng.randint(1, spec.n_j - 1)
-        law = joint_predictive(spec, u / (spec.n_j + 1))
+        law = joint_predictive(spec, u)
         worst_mass = max(worst_mass, abs(law.total_mass() - 1.0))
         report = ssbc_mondrian(spec)
         if report.feasible:

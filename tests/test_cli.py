@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,35 @@ class TestAdjustCommand:
         )
         assert code == EXIT_OK
         assert '"achieved_tail": 0.868193636015,' in out
+
+    def test_top_rung_just_below_a_decimal_level(self, capsys):
+        # alpha (n+1) = 15282841919.000007 exactly: within the float rounding
+        # of an integer at this n, yet rung 15282841919 lies below the level,
+        # and its tail 0.500000233 meets 1 - delta with margin 1.3e-7
+        n, u_star = 36623311384, 15282841919
+        assert Fraction(u_star, n + 1) < Fraction("0.4172982") <= Fraction(u_star + 1, n + 1)
+        code, out, _ = run_cli(
+            capsys, "adjust", "--n", str(n), "--alpha", "0.4172982", "--delta", "0.4999999",
+            "--regime", "inf",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["u_star"] == u_star
+
+    @pytest.mark.parametrize("argv", [
+        ["adjust", "--n", "50", "--alpha", "0.1", "--delta", "0.1", "--regime", "window",
+         "--m", "100000000"],
+        ["rungs", "--n", "3", "--alpha", "0.5", "--regime", "window", "--m", "2000000000"],
+    ])
+    def test_window_tail_too_wide_is_refused_at_once(self, argv):
+        # each side of the window threshold holds more than MAX_WINDOW_TERMS
+        # terms, so the first tail is refused before any is summed
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "ssbc.cli", *argv], env=fresh_env(),
+                              capture_output=True, text=True, timeout=30)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("error: ")
+        assert "MAX_WINDOW_TERMS" in proc.stderr
 
     def test_overflow_is_an_error_not_a_traceback(self):
         # Inputs beyond the range of a double overflow inside the float

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from ssbc.coverage import (
     CalibrationContext,
     CoverageRegime,
+    highest_grid_index_below,
     order_index,
-    snapped_ceil,
     tail_prob,
     window_threshold,
 )
@@ -20,23 +21,56 @@ from oracles import (
 )
 
 
-class TestSnapping:
+class TestDecimalLevels:
+    """A level is the decimal repr prints for it, and each level-to-count
+    map is that decimal's exact integer ceiling."""
+
     def test_exact_products_do_not_drift(self):
-        # (1 - 20/51) * 51 floats to 31.000000000000004; must not ceil to 32
-        assert snapped_ceil((1 - 20 / 51) * 51, scale=51) == 31
-        # -0.29 * 100 floats to -28.999999999999996; must not ceil to -28
-        assert snapped_ceil(-0.29 * 100, scale=100) == -29
+        # 0.07 * 100 floats to 7.000000000000001: the grid rung below 0.07
+        # at n = 99 is 6, not 7
+        assert highest_grid_index_below(0.07, 99) == 6
+        # (1 - 0.18) * 150 floats to 123.00000000000001; must not ceil to 124
+        assert window_threshold(0.18, 150) == 123
+        assert order_index(0.18, 149) == 123
 
     def test_plain_values_unchanged(self):
-        assert snapped_ceil(45.9, scale=51) == 46
-        assert snapped_ceil(-2.3, scale=23) == -2
+        assert order_index(0.1, 50) == 46  # ceil(45.9)
+        assert highest_grid_index_below(0.1, 22) == 2  # ceil(2.3) - 1
+
+    def test_window_threshold_domain_errors(self):
+        for alpha, m in ((0.0, 10), (1.0, 10), (1.5, 10), (0.1, 0), (0.1, 2.0)):
+            with pytest.raises(ValueError):
+                window_threshold(alpha, m)
+
+    def test_maps_equal_exact_decimal_ceilings(self):
+        # typed decimals of 1 to 12 digits, and grid levels u/(n+1) as the
+        # decimals they print as, with n and m log-uniform up to 1e12
+        rng = random.Random(21)
+        for i in range(20_000):
+            n, m = (int(10 ** rng.uniform(0, 12)) for _ in range(2))
+            if i % 2:
+                digits = rng.randint(1, 12)
+                exact = Fraction(rng.randint(1, 10**digits - 1), 10**digits)
+                alpha = float(exact)
+                assert Fraction(repr(alpha)) == exact
+            else:
+                alpha = rng.randint(1, n) / (n + 1)
+                exact = Fraction(repr(alpha))
+            assert order_index(alpha, n) == math.ceil((1 - exact) * (n + 1)), (alpha, n)
+            assert highest_grid_index_below(alpha, n) == math.ceil(exact * (n + 1)) - 1, (alpha, n)
+            assert window_threshold(alpha, m) == math.ceil((1 - exact) * m), (alpha, m)
 
 
 class TestOrderIndex:
     def test_examples(self):
         assert order_index(0.1, 50) == 46
-        assert order_index(2 / 51, 50) == 49
+        # the decimal 0.0392156862745098 that 2/51 prints as lies below 2/51,
+        # so (1 - alpha) 51 lies above 49 and its ceiling is 50
+        assert order_index(2 / 51, 50) == 50
         assert order_index(0.5, 25) == 13
+        # 0.7505 * 590725088501 = 443339178920.0005; the product of doubles
+        # is within rounding of the integer below
+        assert order_index(0.2495, 590725088500) == 443339178921
 
     def test_exact_integer_product(self):
         # (1-0.1)*50 is exactly 45; the ceiling must not round up
@@ -45,22 +79,14 @@ class TestOrderIndex:
     def test_degenerate_everything_set(self):
         assert order_index(0.01, 5) == 6  # k = n+1 sentinel
 
-    @given(st.integers(1, 10**12), st.floats(0.0, 1.0, exclude_max=True))
-    @settings(max_examples=500)
-    def test_grid_levels_round_trip(self, n, fraction):
-        # the grid level u/(n+1) maps back to its order index n+1-u
-        u = 1 + int(fraction * n)
-        assert order_index(u / (n + 1), n) == n + 1 - u
-
     @given(st.floats(0.001, 0.999), st.integers(1, 500))
     @settings(max_examples=300)
     def test_range_and_definition(self, alpha, n):
         k = order_index(alpha, n)
         assert 1 <= k <= n + 1
-        # k is the smallest integer >= (1-alpha)(n+1), modulo float snap
-        target = (1 - alpha) * (n + 1)
-        assert k >= target - 1e-6
-        assert k - 1 < target + 1e-6
+        # k is the smallest integer >= (1-alpha)(n+1), alpha its decimal
+        target = (1 - Fraction(repr(alpha))) * (n + 1)
+        assert k - 1 < target <= k
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

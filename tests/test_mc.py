@@ -11,6 +11,7 @@ from ssbc.coverage import CalibrationContext, CoverageRegime, window_threshold
 from ssbc.adjust import ssbc_adjust
 from ssbc.mc import (
     BLOCK_DRAWS,
+    MethodReport,
     SimConfig,
     _count_runs,
     _draw_width,
@@ -82,7 +83,8 @@ class TestTheoryOverlay:
     CONFIG = SimConfig(n=50, m=100, alpha_target=0.1, delta=0.1, runs=10, seed=1)
 
     def test_nominal_shapes(self):
-        pmf = theory_overlay(self.CONFIG, 0.1)
+        none = MethodReport("none", skipped=False, alpha_used=0.1)
+        pmf = theory_overlay(self.CONFIG, none)
         # order index 46 of n=50: shapes (46, 5)
         expected = [float(v) for v in
                     (bb_survival(r, 100, 46, 5) - bb_survival(r + 1, 100, 46, 5) for r in range(101))]
@@ -90,19 +92,23 @@ class TestTheoryOverlay:
 
     def test_adjusted_rung_shapes(self):
         report = ssbc_adjust(CalibrationContext(50, 0.1, 0.1), CoverageRegime.window(100))
-        pmf = theory_overlay(self.CONFIG, report.alpha_adj)
+        pmf = theory_overlay(
+            self.CONFIG,
+            MethodReport("ssbc", skipped=False, alpha_used=report.alpha_adj, u_star=report.u_star),
+        )
         expected = [float(v) for v in
                     (bb_survival(r, 100, 49, 2) - bb_survival(r + 1, 100, 49, 2) for r in range(101))]
         assert np.allclose(pmf, expected, atol=1e-10)
 
     def test_everything_set_point_mass(self):
         config = SimConfig(n=3, m=5, alpha_target=0.5, delta=0.1, runs=10, seed=1)
-        pmf = theory_overlay(config, 0.01)  # order index 4 = n+1
+        pmf = theory_overlay(config, MethodReport("dkwm", skipped=False, u_star=0))  # k = 4 = n+1
         assert pmf == (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
     def test_single_item_window(self):
         config = SimConfig(n=9, m=1, alpha_target=0.2, delta=0.1, runs=10, seed=1)
-        pmf = theory_overlay(config, 0.2)
+        none = MethodReport("none", skipped=False, alpha_used=0.2)
+        pmf = theory_overlay(config, none)
         assert len(pmf) == 2
         assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)
 

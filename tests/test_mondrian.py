@@ -16,7 +16,6 @@ from oracles import (
     error_cap,
     error_count_conditional,
     joint_predictive,
-    miscoverage_count,
 )
 
 
@@ -36,18 +35,6 @@ def _p_good_brute_force(spec: MondrianSpec, s_j: int) -> float:
             inner = sum(bb_pmf(e, r, s_j, spec.n_j - s_j) for e in range(0, min(cap, r) + 1))
         total += weight * inner
     return float(total)
-
-
-class TestMiscoverageCount:
-    def test_examples(self):
-        assert miscoverage_count(0.1, 50) == 5
-        assert miscoverage_count(0.5, 25) == 13
-        assert miscoverage_count(0.01, 50) == 0  # degenerate everything-set
-
-    def test_equals_rung_index_on_grid(self):
-        for n_j in (5, 20, 73):
-            for u in range(1, n_j + 1):
-                assert miscoverage_count(u / (n_j + 1), n_j) == u
 
 
 class TestClassCountPredictive:
@@ -114,34 +101,34 @@ class TestJointPredictive:
     SPEC = MondrianSpec(k=100, k_j=30, n_j=40, m=15, alpha_target=0.1, delta=0.1)
 
     def test_total_mass(self):
-        law = joint_predictive(self.SPEC, 4 / 41)
+        law = joint_predictive(self.SPEC, 4)
         assert abs(law.total_mass() - 1.0) <= 1e-9
 
     def test_upper_triangle_zero(self):
-        law = joint_predictive(self.SPEC, 4 / 41)
+        law = joint_predictive(self.SPEC, 4)
         m = self.SPEC.m
         for r in range(m + 1):
             for e in range(r + 1, m + 1):
                 assert law.probabilities[e, r] == 0.0
 
     def test_marginal_recovers_count_law(self):
-        law = joint_predictive(self.SPEC, 4 / 41)
+        law = joint_predictive(self.SPEC, 4)
         assert np.allclose(
             law.marginal_count(), class_count_predictive(self.SPEC), atol=1e-12
         )
 
     def test_collapse_at_full_prevalence(self):
         spec = MondrianSpec(k=100, k_j=100, n_j=40, m=15, alpha_target=0.1, delta=0.1)
-        law = joint_predictive(spec, 4 / 41)
+        law = joint_predictive(spec, 4)
         assert law.probabilities[:, :15].sum() == 0.0
         assert math.fsum(law.probabilities[:, 15]) == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_alpha(self):
         with pytest.raises(DegenerateRungError):
-            joint_predictive(self.SPEC, 0.005)  # s_j = 0
+            joint_predictive(self.SPEC, 0)
 
     def test_immutable(self):
-        law = joint_predictive(self.SPEC, 4 / 41)
+        law = joint_predictive(self.SPEC, 4)
         with pytest.raises(ValueError):
             law.probabilities[0, 0] = 0.5
 
@@ -152,12 +139,12 @@ class TestErrorBudget:
     def test_floor_examples(self):
         assert 23 - window_threshold(0.1, 23) == 2
         assert 9 - window_threshold(0.1, 9) == 0
-        # 0.29 * 100 floats below 29; the snapped threshold keeps the exact cap
+        # 0.29 * 100 floats below 29; the decimal threshold keeps the exact cap
         assert 100 - window_threshold(0.29, 100) == 29
 
     def test_matches_decimal_floor(self):
-        # seeded decimal levels of 1 to 6 digits: the snapped float
-        # threshold gives the exact rational cap at every r up to 10^4
+        # seeded decimal levels of 1 to 6 digits: the threshold of the
+        # decimal gives the exact rational cap at every r up to 10^4
         rng = random.Random(1515)
         for _ in range(2000):
             digits = rng.randint(1, 6)
