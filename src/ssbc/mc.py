@@ -8,12 +8,13 @@ uniforms are outputs ``r*w .. r*w + w - 1`` of SplitMix64 started at state
 count, so any run's draws can be computed without the ones before it
 (Salmon et al., SC 2011).  Reports are therefore byte-identical however
 the runs are split among worker threads.  Runs are counted a block at a
-time, in about twenty array operations however many methods are counted:
-ten make the stream's words, one or two scale them (each score map's
-affine step folded into the conversion to floats), up to eight finish the
-map, one sorts, and five count every method's covered window scores.
-Threads run while numpy releases the interpreter lock inside those
-operations, so fewer, longer ones leave them less time waiting on it.
+time, in 15 to 24 array operations however many methods are counted: ten
+make the stream's words; none or two make the integer keys that uniform
+and abs_cauchy sort in place of their scores (see :func:`_count_runs`),
+or nine map abs_normal's words to float scores; one sorts; and four count
+every method's covered window scores.  Threads run while numpy releases
+the interpreter lock inside those operations, so fewer, longer ones leave
+them less time waiting on it.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from .specfun import betabinom_pmf_vector
 
 SCORE_MODELS = ("abs_cauchy", "abs_normal", "uniform")
 METHOD_NAMES = ("none", "ssbc", "dkwm")
-# Draws per block of runs: a thread holds 256 KiB of draws, as much uint64
-# scratch and up to 96 KiB of comparisons at a time, or one run's worth of
+# Draws per block of runs: a thread holds 512 KiB of words, as much
+# scratch and up to 192 KiB of comparisons at a time, or one run's worth of
 # each if that is larger.
-BLOCK_DRAWS = 1 << 15
+BLOCK_DRAWS = 1 << 16
 
 # SplitMix64: output i of the generator whose state starts at s is the
 # xor-shift-multiply finalizer in _words applied to s + (i + 1) * _GAMMA
@@ -150,43 +151,30 @@ _NORMAL_SCALE = np.array([[-(2.0**-53)], [np.pi / 2 * 2.0**-53]])
 _NORMAL_SCALE.flags.writeable = False
 
 
-def _to_scores(words: np.ndarray, score_model: str, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Map a block of words, one run per row, to scores in out; every step
-    is elementwise within a row.  Each map's affine step is folded into the
-    conversion of the words v to floats: U = v 2**-53 is exact, and so is
-    scaling by a power of two, so each product below is the real number of
-    the unfolded step, rounded once as it is there.  abs_cauchy overwrites
-    the words; ``scratch`` is float64 with at least half as many elements
-    as words, and may share the words' memory."""
-    if score_model == "abs_cauchy":
-        # |tan(pi (U - 1/2))| is a standard Cauchy folded at zero, and
-        # (U - 1/2) pi = (v - 2**52) (pi 2**-53)
-        signed = words.view(np.int64)
-        signed -= 2**52
-        np.multiply(signed, np.pi * 2.0**-53, out=out)
-        np.tan(out, out=out)
-        np.abs(out, out=out)
-    elif score_model == "abs_normal":
-        # Box-Muller folded into the first quadrant: uniform j of a row (U1)
-        # and uniform j + w/2 (U2) become |X| = r cos f and |Y| = r sin f,
-        # with r = sqrt(-2 ln(1 - U1)) and f = (pi/2) U2.  One tan gives
-        # both, as cos f = 1 / sqrt(1 + tan^2 f): numpy's float64 tan
-        # costs about a quarter of its sin or cos.
-        halves = (len(words), 2, -1)
-        np.multiply(words.reshape(halves), _NORMAL_SCALE, out=out.reshape(halves))
-        half = out.shape[1] // 2
-        radius, angle = out[:, :half], out[:, half:]
-        np.tan(angle, out=angle)
-        secant2 = scratch[: radius.size].reshape(radius.shape)
-        np.multiply(angle, angle, out=secant2)
-        secant2 += 1.0
-        np.log1p(radius, out=radius)
-        radius *= -2.0
-        radius /= secant2
-        np.sqrt(radius, out=radius)  # |X| = r cos f
-        angle *= radius  # |Y| = |X| tan f
-    else:
-        np.multiply(words, 2.0**-53, out=out)
+def _to_scores(words: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Map a block of words, one run per row, to abs_normal scores in out:
+    Box-Muller folded into the first quadrant, with uniform j of a row (U1)
+    and uniform j + w/2 (U2) becoming |X| = r cos f and |Y| = r sin f, where
+    r = sqrt(-2 ln(1 - U1)) and f = (pi/2) U2.  One tan gives both, as
+    cos f = 1 / sqrt(1 + tan^2 f): numpy's float64 tan costs about a quarter
+    of its sin or cos.  The affine steps -U1 and (pi/2) U2 are folded into
+    the conversion of the words v to floats: U = v 2**-53 is exact, and so
+    is scaling by a power of two, so each product is the real number of the
+    unfolded step, rounded once as it is there.  ``scratch`` is float64 with
+    at least half as many elements as words, and may share their memory."""
+    halves = (len(words), 2, -1)
+    np.multiply(words.reshape(halves), _NORMAL_SCALE, out=out.reshape(halves))
+    half = out.shape[1] // 2
+    radius, angle = out[:, :half], out[:, half:]
+    np.tan(angle, out=angle)
+    secant2 = scratch[: radius.size].reshape(radius.shape)
+    np.multiply(angle, angle, out=secant2)
+    secant2 += 1.0
+    np.log1p(radius, out=radius)
+    radius *= -2.0
+    radius /= secant2
+    np.sqrt(radius, out=radius)  # |X| = r cos f
+    angle *= radius  # |Y| = |X| tan f
 
 
 def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -> np.ndarray:
@@ -204,6 +192,19 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
     window score of the block in one array operation, and counted in one
     more; a method whose k is n + 1 covers every window, so its runs need
     no draws.
+
+    Coverage depends only on how the scores order, so the uniform and
+    abs_cauchy models sort and compare integer keys that order as their
+    scores do, ties included:
+
+    - uniform: the word v itself, as U = v 2**-53 is exact.
+    - abs_cauchy: |v - 2**52|.  The score |tan(pi (U - 1/2))| is
+      |tan(fl(s c))| with s = v - 2**52, exact as a float, and
+      c = fl(pi 2**-53); rounding is symmetric and tan is odd, so s and
+      -s tie.  From key a to a + 1 the rounded product grows by more than
+      c - ulp > 0, which tan's slope 1 + tan^2 turns into at least 1.4
+      ulps of the score (fewest where it crosses 2): a tan within 0.7 ulp
+      keeps the scores strictly increasing in the key on 0..2**52.
     """
     n, m = config.n, config.m
     orders = sorted({k for k in ks if k <= n})
@@ -216,10 +217,10 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
         return counts[pick]
     width = _draw_width(n, m, config.score_model)
     rows = min(max(1, BLOCK_DRAWS // width), stop - start)
-    # The generator state holds the words, then serves as the score map's
-    # scratch; the block holds the mixing temporaries, then the scores; and
-    # `below` holds each order statistic's comparisons with the window
-    # scores, at most 3 bytes per draw.
+    # The generator state holds the words, which become the keys or serve
+    # as abs_normal's scratch; the block holds the mixing temporaries, then
+    # abs_normal's scores; and `below` holds each order statistic's
+    # comparisons with the window scores, at most 3 bytes per draw.
     state = np.empty(rows * width, dtype=np.uint64)
     block = np.empty(rows * width, dtype=np.float64)
     below = np.empty((rows, len(orders), m), dtype=bool)
@@ -234,8 +235,15 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
         size = count * width
         words = state[:size]
         _words(config.seed, lo * width, words, block[:size].view(np.uint64))
-        draws = block[:size].reshape(count, width)
-        _to_scores(words.reshape(count, width), config.score_model, draws, state.view(np.float64))
+        if config.score_model == "abs_normal":
+            draws = block[:size].reshape(count, width)
+            _to_scores(words.reshape(count, width), draws, state.view(np.float64))
+        elif config.score_model == "abs_cauchy":
+            draws = words.view(np.int64).reshape(count, width)
+            draws -= 2**52
+            np.abs(draws, out=draws)
+        else:
+            draws = words.reshape(count, width)
         calibration, window = draws[:, :n], draws[:, n : n + m]
         calibration.sort(axis=1)
         # score equal to the threshold counts as covered
@@ -268,11 +276,11 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
     coverage histograms, and theory overlays.
 
     ``workers`` splits the runs into min(workers, runs) disjoint ranges,
-    counted by a thread pool of at most ``os.cpu_count()`` threads.  Each
-    thread counts its range a block of ``BLOCK_DRAWS`` draws at a time, in
-    about twenty array operations per block, and numpy releases the
-    interpreter lock inside them; the result does not depend on the worker
-    count.
+    counted by a thread pool of at most one thread per CPU the process may
+    run on (``os.sched_getaffinity``, else ``os.cpu_count()``).  Each thread
+    counts its range a block of ``BLOCK_DRAWS`` draws at a time, in 15 to 24
+    array operations per block, and numpy releases the interpreter lock
+    inside them; the result does not depend on the worker count.
     """
     check_int("workers", workers)
     # Each method's adjusted level; an infeasible adjuster marks its method
@@ -304,7 +312,8 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
             # More ranges than runs would only add empty ones.
             bounds = np.linspace(0, config.runs, min(workers, config.runs) + 1).astype(int)
             chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-            threads = min(os.cpu_count() or 1, len(chunks))
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+            threads = min(cpus or os.cpu_count() or 1, len(chunks))
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 futures = [pool.submit(_count_runs, config, ks, lo, hi) for lo, hi in chunks]
                 for future in futures:

@@ -34,40 +34,40 @@ def kernel_words(seed, counter, count):
 
 def kernel_uniforms(seed, counter, count):
     """``count`` uniforms of the package's stream from ``counter`` on: its
-    words through the uniform score map."""
-    return kernel_scores(kernel_words(seed, counter, count).reshape(1, count), "uniform")[0]
+    words times 2**-53."""
+    return kernel_words(seed, counter, count) * 2.0**-53
 
 
-def kernel_scores(words, score_model):
-    """The package's scores of a block of words, one run per row."""
+def kernel_normal_scores(words):
+    """The package's abs_normal scores of a block of words, one run per row."""
     out = np.empty(words.shape)
-    _to_scores(words.copy(), score_model, out, np.empty(words.size // 2 + 1))
+    _to_scores(words.copy(), out, np.empty(words.size // 2 + 1))
     return out
 
 
-def unfolded_scores(uniforms, score_model):
-    """The score maps on a row of uniforms with each affine step a ufunc of
-    its own, the arithmetic that _to_scores folds into its conversion of
+def cauchy_scores(words):
+    """abs_cauchy's float route, |tan(pi (U - 1/2))| of U = v 2**-53, that
+    the kernel's integer keys stand in for."""
+    return np.abs(np.tan(np.pi * (words * 2.0**-53 - 0.5)))
+
+
+def unfolded_normal_scores(uniforms):
+    """abs_normal's map on a row of uniforms with each affine step a ufunc
+    of its own, the arithmetic that _to_scores folds into its conversion of
     the words."""
     draws = uniforms.reshape(1, -1).copy()
-    if score_model == "abs_cauchy":
-        draws -= 0.5
-        draws *= np.pi
-        np.tan(draws, out=draws)
-        np.abs(draws, out=draws)
-    elif score_model == "abs_normal":
-        half = draws.shape[1] // 2
-        radius, angle = draws[:, :half], draws[:, half:]
-        angle *= np.pi / 2
-        np.tan(angle, out=angle)
-        secant2 = angle * angle
-        secant2 += 1.0
-        np.negative(radius, out=radius)
-        np.log1p(radius, out=radius)
-        radius *= -2.0
-        radius /= secant2
-        np.sqrt(radius, out=radius)
-        angle *= radius
+    half = draws.shape[1] // 2
+    radius, angle = draws[:, :half], draws[:, half:]
+    angle *= np.pi / 2
+    np.tan(angle, out=angle)
+    secant2 = angle * angle
+    secant2 += 1.0
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)
+    radius *= -2.0
+    radius /= secant2
+    np.sqrt(radius, out=radius)
+    angle *= radius
     return draws[0]
 
 
@@ -231,19 +231,32 @@ class TestRunSimulation:
         config = SimConfig(n=10, m=10, alpha_target=0.3, delta=0.3, runs=60, seed=8)
         baseline = run_simulation(config, workers=1)
         cases = [
-            # (cpu_count, workers, pool size, ranges submitted)
+            # (usable CPUs, workers, pool size, ranges submitted)
             (2, 3, 2, [(0, 20), (20, 40), (40, 60)]),
             (2, 10_000, 2, [(r, r + 1) for r in range(60)]),
             (16, 4, 4, [(0, 15), (15, 30), (30, 45), (45, 60)]),
             (None, 2, 1, [(0, 30), (30, 60)]),
         ]
-        for cpus, workers, pool_size, ranges in cases:
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+        def check(workers, pool_size, ranges):
             requested.clear()
             submitted.clear()
             assert run_simulation(config, workers=workers) == baseline
             assert requested == [pool_size]
             assert submitted == ranges
+
+        # the CPUs the process may run on bound the pool, not the host's
+        # count; where os has no sched_getaffinity, os.cpu_count() does
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        for cpus, *case in cases:
+            if cpus is not None:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                    raising=False)
+                check(*case)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus, *case in cases:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            check(*case)
         few_runs = SimConfig(n=10, m=10, alpha_target=0.3, delta=0.3, runs=3, seed=8)
         monkeypatch.setattr(os, "cpu_count", lambda: 16)
         requested.clear()
@@ -293,7 +306,7 @@ class TestGenerator:
 
     def test_folded_box_muller_is_half_normal(self):
         rows, width = 1000, 400
-        draws = kernel_scores(kernel_words(99, 0, rows * width).reshape(rows, width), "abs_normal")
+        draws = kernel_normal_scores(kernel_words(99, 0, rows * width).reshape(rows, width))
         half = width // 2
         folded_x, folded_y = draws[:, :half].ravel(), draws[:, half:].ravel()
         half_normal_cdf = np.vectorize(lambda x: math.erf(x / math.sqrt(2)))
@@ -316,23 +329,44 @@ class TestGenerator:
         radius = np.sqrt(-2.0 * np.log1p(-draws[:, :half]))
         angle = np.pi / 2 * draws[:, half:]
         expected = np.hstack([radius * np.cos(angle), radius * np.sin(angle)])
-        np.testing.assert_allclose(kernel_scores(words, "abs_normal"), expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(kernel_normal_scores(words), expected, rtol=1e-12, atol=0)
 
     def test_folded_affine_steps_are_exact(self):
-        # each score map, its affine step folded into the conversion of the
-        # words, against the unfolded arithmetic on the reference uniforms:
-        # 10**5 stream draws, with the counters whose U is 0, 1/2 and
-        # 1 - 2**-53 at both ends, so that both halves of abs_normal's row
-        # see them
+        # abs_normal's map, its affine steps folded into the conversion of
+        # the words, against the unfolded arithmetic on the reference
+        # uniforms: 10**5 stream draws, with the counters whose U is 0, 1/2
+        # and 1 - 2**-53 at both ends, so that both halves of the row see them
         seed = 2024
         edges = [splitmix64_counter(seed, v << 11) for v in (0, 2**52, 2**53 - 1)]
         uniforms = np.array([stream_uniform(seed, c) for c in edges + list(range(10**5)) + edges])
         assert uniforms[-3:].tolist() == [0.0, 0.5, 1 - 2**-53]
         edge_words = [kernel_words(seed, c, 1) for c in edges]
         words = np.concatenate(edge_words + [kernel_words(seed, 0, 10**5)] + edge_words)
-        for score_model in ("abs_cauchy", "abs_normal", "uniform"):
-            scores = kernel_scores(words.reshape(1, -1), score_model)[0]
-            assert np.array_equal(scores, unfolded_scores(uniforms, score_model)), score_model
+        scores = kernel_normal_scores(words.reshape(1, -1))[0]
+        assert np.array_equal(scores, unfolded_normal_scores(uniforms))
+
+    def test_integer_keys_order_as_scores(self):
+        # the kernel sorts and compares abs_cauchy's key a = |v - 2**52| and
+        # uniform's word v in place of their float scores: on windows of
+        # 10**6 consecutive keys, the words 2**52 - a and 2**52 + a must tie
+        # and the scores strictly increase with a (and U with v).  The
+        # windows: key 0; score 1 at a = 2**51, where tan's slope is least
+        # against the score's ulp; score 2, where a key step moves the score
+        # by the fewest ulps once the product's rounding is counted; the top
+        # end up to a = 2**52 inclusive; and seeded spots
+        width = 10**6
+        crosses_two = int(math.atan(2) / (np.pi / 2) * 2**52)
+        rng = random.Random(2025)
+        starts = [0, 2**51 - width // 2, crosses_two - width // 2, 2**52 + 1 - width]
+        starts += [rng.randrange(2**52 + 1 - width) for _ in range(8)]
+        for lo in starts:
+            keys = np.arange(lo, lo + width, dtype=np.uint64)
+            below = cauchy_scores(2**52 - keys)
+            assert np.all(np.diff(below) > 0), lo
+            above = keys[keys < 2**52] + 2**52
+            assert np.array_equal(cauchy_scores(above), below[: len(above)]), lo
+            for words in (keys, above):
+                assert np.all(np.diff(words * 2.0**-53) > 0), lo
 
 
 class TestStreams:
@@ -361,11 +395,11 @@ class TestStreams:
         (dict(n=9, m=1, alpha_target=0.2, delta=0.3, runs=200, seed=7,
               score_model="abs_normal", methods=("none", "ssbc")),
          "a9aecfc7223e7d1253e003a65a7733f47c0f6140a9a7830aba612a1d3e169a7c"),
-        # with BLOCK_DRAWS = 2**15, 1000 runs are 7 blocks of 131 runs and one of 83
+        # with BLOCK_DRAWS = 2**16, 1000 runs are 3 blocks of 262 runs and one of 214
         (dict(n=100, m=150, alpha_target=0.3, delta=0.1, runs=1000, seed=2**40 + 3,
               methods=ALL),
          "2bd60cdd49c307242e4653dff1ebf1a35b8080f2f3670bb6a877bd1a72c7a33d"),
-        # one run's draws exceed BLOCK_DRAWS: one run per block
+        # one run's draws exceed half of BLOCK_DRAWS: one run per block
         (dict(n=30000, m=5000, alpha_target=0.05, delta=0.1, runs=3, seed=5,
               score_model="uniform", methods=("none", "ssbc")),
          "77a18483f589c860d0a95bb6aaf63b7c14fc7b6f9ef0df0d5f813a7e1a443469"),
@@ -434,6 +468,33 @@ class TestStreams:
                 assert np.array_equal(
                     _count_runs(config, ks, 17, 300), self.per_run_loop(config, ks, 17, 300)
                 ), (config, ks)
+
+    def test_keys_count_as_float_scores_on_tied_words(self, monkeypatch):
+        # the stream replaced by words drawn from a few values around 2**52
+        # and at both ends, so that runs are full of ties, of words 2**52 - a
+        # and 2**52 + a, and of the extreme keys: the kernel's counts on its
+        # integer keys must equal those of the float scores
+        import ssbc.mc
+
+        n, m, runs = 4, 5, 3000
+        values = np.array([0, 1, 2**51, 2**52 - 2, 2**52 - 1, 2**52, 2**52 + 1, 2**52 + 2,
+                           3 * 2**51, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+        table = np.random.default_rng(1415).choice(values, runs * (n + m))
+
+        def tied_words(seed, counter, state, bits):
+            state[:] = table[counter : counter + len(state)]
+
+        monkeypatch.setattr(ssbc.mc, "_words", tied_words)
+        ks = (1, 2, 3, 4)
+        for score_model, scores in (("abs_cauchy", cauchy_scores(table)),
+                                    ("uniform", table * 2.0**-53)):
+            config = SimConfig(n=n, m=m, alpha_target=0.1, delta=0.1, runs=runs, seed=0,
+                               score_model=score_model)
+            draws = scores.reshape(runs, n + m)
+            calibration = np.sort(draws[:, :n], axis=1)
+            covered = [(draws[:, n:] <= calibration[:, [k - 1]]).sum(axis=1) for k in ks]
+            expected = [np.bincount(c, minlength=m + 1) for c in covered]
+            assert np.array_equal(_count_runs(config, ks, 0, runs), expected), score_model
 
     @pytest.mark.parametrize("score_model", ("abs_cauchy", "abs_normal", "uniform"))
     def test_any_partition_sums_to_the_whole(self, score_model):
