@@ -173,7 +173,9 @@ _FLAGS = {
     "seed": dict(type=int, help="64-bit unsigned seed"),
     "methods": dict(default="none,ssbc", help="comma-separated subset of none,ssbc,dkwm"),
     "score-model": dict(choices=("abs_cauchy", "abs_normal", "uniform"), default="abs_cauchy",
-                        help="nonconformity score distribution"),
+                        help="nonconformity scores of uniforms U: |tan(pi (U - 1/2))|, "
+                        "|Phi^-1(U)| or U; coverage depends only on their order, so "
+                        "abs_cauchy and abs_normal give the same counts"),
     "workers": dict(type=int, default=1, help="run ranges to split the work into, counted by at "
                     "most one thread per CPU (default 1); does not affect results"),
 }

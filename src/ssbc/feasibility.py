@@ -119,6 +119,12 @@ def alpha_star_exact_finite(n: int, delta: float, m: int) -> float:
     the first form walks on for at most about ln(1/delta) + 5 steps.  A
     ValueError refuses a start past 2**52, where rounding can exceed the
     two steps, or a first product over MAX_PRODUCT_STEPS factors.
+
+    The lattice is exact, the products are not: P(c) is taken in doubles,
+    with a relative error of about 2 (factors + steps) 2**-53, so where the
+    exact P(c) at the boundary lies that close to delta, c can be one step
+    off (n=36, delta=6.217721028215806e-06, m=852017167440597 gives c one
+    below the exact 241318473954081).
     """
     _validate(n, delta)
     check_int("m", m)

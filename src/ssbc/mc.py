@@ -2,19 +2,20 @@
 
 Each run draws a fresh calibration set and a fresh inference window from
 the chosen score model, thresholds at each method's level, and records the
-window coverage.  The draws come from a counter-based stream: run r's
-uniforms are outputs ``r*w .. r*w + w - 1`` of SplitMix64 started at state
-``seed`` (Steele, Lea & Flood, OOPSLA 2014), with ``w`` the run's draw
-count, so any run's draws can be computed without the ones before it
-(Salmon et al., SC 2011).  Reports are therefore byte-identical however
-the runs are split among worker threads.  Runs are counted a block at a
-time, in 15 to 24 array operations however many methods are counted: ten
-make the stream's words; none or two make the integer keys that uniform
-and abs_cauchy sort in place of their scores (see :func:`_count_runs`),
-or nine map abs_normal's words to float scores; one sorts; and four count
-every method's covered window scores.  Threads run while numpy releases
-the interpreter lock inside those operations, so fewer, longer ones leave
-them less time waiting on it.
+window coverage.  A model's scores are the uniforms U themselves
+(uniform), |tan(pi (U - 1/2))| (abs_cauchy) or the half-normal
+|Phi^-1(U)| (abs_normal).  The draws come from a counter-based stream: run
+r's w = n + m uniforms are outputs ``r*w .. r*w + w - 1`` of SplitMix64
+started at state ``seed`` (Steele, Lea & Flood, OOPSLA 2014), so any run's
+draws can be computed without the ones before it (Salmon et al., SC 2011).
+Reports are therefore byte-identical however the runs are split among
+worker threads.  Runs are counted a block at a time, in 15 or 17 array
+operations however many methods are counted: ten make the stream's words;
+none (uniform) or two (the abs_ models) make the integer keys that every
+model sorts in place of its scores (see :func:`_count_runs`); one sorts;
+and four count every method's covered window scores.  Threads run while
+numpy releases the interpreter lock inside those operations, so fewer,
+longer ones leave them less time waiting on it.
 """
 
 from __future__ import annotations
@@ -140,71 +141,38 @@ def _words(seed: int, counter: int, state: np.ndarray, bits: np.ndarray) -> None
     state >>= 11
 
 
-def _draw_width(n: int, m: int, score_model: str) -> int:
-    """Uniforms per run: n + m, rounded up to even for abs_normal, which
-    maps them in pairs."""
-    return n + m + (n + m) % 2 if score_model == "abs_normal" else n + m
-
-
-# abs_normal's affine steps, one per half of a row of words: -U and U pi/2.
-_NORMAL_SCALE = np.array([[-(2.0**-53)], [np.pi / 2 * 2.0**-53]])
-_NORMAL_SCALE.flags.writeable = False
-
-
-def _to_scores(words: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Map a block of words, one run per row, to abs_normal scores in out:
-    Box-Muller folded into the first quadrant, with uniform j of a row (U1)
-    and uniform j + w/2 (U2) becoming |X| = r cos f and |Y| = r sin f, where
-    r = sqrt(-2 ln(1 - U1)) and f = (pi/2) U2.  One tan gives both, as
-    cos f = 1 / sqrt(1 + tan^2 f): numpy's float64 tan costs about a quarter
-    of its sin or cos.  The affine steps -U1 and (pi/2) U2 are folded into
-    the conversion of the words v to floats: U = v 2**-53 is exact, and so
-    is scaling by a power of two, so each product is the real number of the
-    unfolded step, rounded once as it is there.  ``scratch`` is float64 with
-    at least half as many elements as words, and may share their memory."""
-    halves = (len(words), 2, -1)
-    np.multiply(words.reshape(halves), _NORMAL_SCALE, out=out.reshape(halves))
-    half = out.shape[1] // 2
-    radius, angle = out[:, :half], out[:, half:]
-    np.tan(angle, out=angle)
-    secant2 = scratch[: radius.size].reshape(radius.shape)
-    np.multiply(angle, angle, out=secant2)
-    secant2 += 1.0
-    np.log1p(radius, out=radius)
-    radius *= -2.0
-    radius /= secant2
-    np.sqrt(radius, out=radius)  # |X| = r cos f
-    angle *= radius  # |Y| = |X| tan f
-
-
 def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -> np.ndarray:
     """Coverage histograms for runs [start, stop): row j is method j's
     counts over coverage grid 0..m.
 
-    Run r's draws are the words at counters ``r*w .. r*w + w - 1`` of the
-    seed's stream (see :func:`_words`), with ``w`` from
-    :func:`_draw_width`; its calibration scores are the first n of them
-    after the score map and its window scores the next m.  The draws
-    depend only on the counter, so the histograms of any split of a range
-    sum to those of the whole.  Runs are taken ``max(1, BLOCK_DRAWS // w)``
-    at a time (fewer if the range is shorter): each fills one row of the
-    block.  Every distinct order index k <= n is then compared with every
-    window score of the block in one array operation, and counted in one
-    more; a method whose k is n + 1 covers every window, so its runs need
-    no draws.
+    Run r's draws are the w = n + m words at counters ``r*w .. r*w + w - 1``
+    of the seed's stream (see :func:`_words`); the first n give its
+    calibration scores and the next m its window scores.  The draws depend
+    only on the counter, so the histograms of any split of a range sum to
+    those of the whole.  Runs are taken ``max(1, BLOCK_DRAWS // w)`` at a
+    time (fewer if the range is shorter): each fills one row of the block.
+    Every distinct order index k <= n is then compared with every window
+    score of the block in one array operation, and counted in one more; a
+    method whose k is n + 1 covers every window, so its runs need no draws.
 
-    Coverage depends only on how the scores order, so the uniform and
-    abs_cauchy models sort and compare integer keys that order as their
-    scores do, ties included:
+    Coverage depends only on how the scores order, so every model sorts and
+    compares integer keys that order as its scores do, ties included:
 
     - uniform: the word v itself, as U = v 2**-53 is exact.
-    - abs_cauchy: |v - 2**52|.  The score |tan(pi (U - 1/2))| is
-      |tan(fl(s c))| with s = v - 2**52, exact as a float, and
-      c = fl(pi 2**-53); rounding is symmetric and tan is odd, so s and
-      -s tie.  From key a to a + 1 the rounded product grows by more than
-      c - ulp > 0, which tan's slope 1 + tan^2 turns into at least 1.4
-      ulps of the score (fewest where it crosses 2): a tan within 0.7 ulp
-      keeps the scores strictly increasing in the key on 0..2**52.
+    - abs_normal and abs_cauchy: |v - 2**52|, the word's distance from
+      U = 1/2 in units of 2**-53.
+    - abs_normal's score is the inverse-CDF half-normal draw
+      |Phi^-1(U)| = Phi^-1(1/2 + |U - 1/2|), and Phi^-1 rises strictly, so
+      the score rises strictly with the key and the words 2**52 - a and
+      2**52 + a tie.  The key's top value 2**52 belongs to U = 0 alone, as
+      the score +inf would.
+    - abs_cauchy: the score |tan(pi (U - 1/2))| is |tan(fl(s c))| with
+      s = v - 2**52, exact as a float, and c = fl(pi 2**-53); rounding is
+      symmetric and tan is odd, so s and -s tie.  From key a to a + 1 the
+      rounded product grows by more than c - ulp > 0, which tan's slope
+      1 + tan^2 turns into at least 1.4 ulps of the score (fewest where it
+      crosses 2): a tan within 0.7 ulp keeps the scores strictly increasing
+      in the key on 0..2**52.
     """
     n, m = config.n, config.m
     orders = sorted({k for k in ks if k <= n})
@@ -215,14 +183,13 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
     pick = [orders.index(k) if k <= n else -1 for k in ks]
     if not orders:
         return counts[pick]
-    width = _draw_width(n, m, config.score_model)
+    width = n + m
     rows = min(max(1, BLOCK_DRAWS // width), stop - start)
-    # The generator state holds the words, which become the keys or serve
-    # as abs_normal's scratch; the block holds the mixing temporaries, then
-    # abs_normal's scores; and `below` holds each order statistic's
-    # comparisons with the window scores, at most 3 bytes per draw.
+    # The generator state holds the words, which become the keys in place;
+    # `bits` is the generator's scratch; and `below` holds each order
+    # statistic's comparisons with the window keys, at most 3 bytes per draw.
     state = np.empty(rows * width, dtype=np.uint64)
-    block = np.empty(rows * width, dtype=np.float64)
+    bits = np.empty_like(state)
     below = np.empty((rows, len(orders), m), dtype=bool)
     # count c of row i is element i (m + 1) + c of the flattened counts, in
     # the narrowest integers that hold every element's index (the bools
@@ -232,19 +199,15 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
     columns = np.array(orders) - 1
     for lo in range(start, stop, rows):
         count = min(rows, stop - lo)
-        size = count * width
-        words = state[:size]
-        _words(config.seed, lo * width, words, block[:size].view(np.uint64))
-        if config.score_model == "abs_normal":
-            draws = block[:size].reshape(count, width)
-            _to_scores(words.reshape(count, width), draws, state.view(np.float64))
-        elif config.score_model == "abs_cauchy":
-            draws = words.view(np.int64).reshape(count, width)
-            draws -= 2**52
-            np.abs(draws, out=draws)
+        words = state[: count * width]
+        _words(config.seed, lo * width, words, bits[: count * width])
+        if config.score_model == "uniform":
+            keys = words.reshape(count, width)
         else:
-            draws = words.reshape(count, width)
-        calibration, window = draws[:, :n], draws[:, n : n + m]
+            keys = words.view(np.int64).reshape(count, width)
+            keys -= 2**52
+            np.abs(keys, out=keys)
+        calibration, window = keys[:, :n], keys[:, n:]
         calibration.sort(axis=1)
         # score equal to the threshold counts as covered
         np.less_equal(window[:, None, :], calibration[:, columns, None], out=below[:count])
@@ -278,9 +241,11 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
     ``workers`` splits the runs into min(workers, runs) disjoint ranges,
     counted by a thread pool of at most one thread per CPU the process may
     run on (``os.sched_getaffinity``, else ``os.cpu_count()``).  Each thread
-    counts its range a block of ``BLOCK_DRAWS`` draws at a time, in 15 to 24
+    counts its range a block of ``BLOCK_DRAWS`` draws at a time, in 15 or 17
     array operations per block, and numpy releases the interpreter lock
-    inside them; the result does not depend on the worker count.
+    inside them; the result does not depend on the worker count.  The
+    abs_normal and abs_cauchy models count on the same integer keys, so
+    their reports differ only in the echoed ``score_model``.
     """
     check_int("workers", workers)
     # Each method's adjusted level; an infeasible adjuster marks its method

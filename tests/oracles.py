@@ -244,25 +244,6 @@ def splitmix64(state: int, i: int) -> int:
     return z ^ (z >> 31)
 
 
-def splitmix64_counter(state: int, output: int) -> int:
-    """The i with ``splitmix64(state, i) == output``: the finalizer undone
-    step by step (each xor-shift by re-applying it until the shifted bits
-    run out, each multiply by the modular inverse of its odd constant),
-    then the state's steps counted back."""
-    mask = (1 << 64) - 1
-
-    def unshift(z: int, s: int) -> int:
-        x = z
-        for _ in range(64 // s):
-            x = z ^ (x >> s)
-        return x
-
-    z = unshift(output, 31)
-    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & mask, 27)
-    z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask, 30)
-    return ((z - state) * pow(0x9E3779B97F4A7C15, -1, 1 << 64) - 1) & mask
-
-
 def stream_uniform(seed: int, counter: int) -> float:
     """The Monte Carlo stream's uniform at ``counter``: the top 53 bits of
     SplitMix64 output ``counter`` from state ``seed``, scaled by 2**-53

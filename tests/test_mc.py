@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -14,15 +15,13 @@ from ssbc.mc import (
     MethodReport,
     SimConfig,
     _count_runs,
-    _draw_width,
-    _to_scores,
     _words,
     run_simulation,
     theory_overlay,
 )
 from ssbc.serialize import canonical_json
 
-from oracles import bb_survival, method_report, splitmix64, splitmix64_counter, stream_uniform
+from oracles import bb_survival, method_report, splitmix64, stream_uniform
 
 
 def kernel_words(seed, counter, count):
@@ -38,37 +37,27 @@ def kernel_uniforms(seed, counter, count):
     return kernel_words(seed, counter, count) * 2.0**-53
 
 
-def kernel_normal_scores(words):
-    """The package's abs_normal scores of a block of words, one run per row."""
-    out = np.empty(words.shape)
-    _to_scores(words.copy(), out, np.empty(words.size // 2 + 1))
-    return out
-
-
 def cauchy_scores(words):
     """abs_cauchy's float route, |tan(pi (U - 1/2))| of U = v 2**-53, that
     the kernel's integer keys stand in for."""
     return np.abs(np.tan(np.pi * (words * 2.0**-53 - 0.5)))
 
 
-def unfolded_normal_scores(uniforms):
-    """abs_normal's map on a row of uniforms with each affine step a ufunc
-    of its own, the arithmetic that _to_scores folds into its conversion of
-    the words."""
-    draws = uniforms.reshape(1, -1).copy()
-    half = draws.shape[1] // 2
-    radius, angle = draws[:, :half], draws[:, half:]
-    angle *= np.pi / 2
-    np.tan(angle, out=angle)
-    secant2 = angle * angle
-    secant2 += 1.0
-    np.negative(radius, out=radius)
-    np.log1p(radius, out=radius)
-    radius *= -2.0
-    radius /= secant2
-    np.sqrt(radius, out=radius)
-    angle *= radius
-    return draws[0]
+def normal_scores(words):
+    """abs_normal's scores |Phi^-1(U)| of U = v 2**-53 through the float
+    inverse CDF, that the kernel's integer keys stand in for; U = 0 scores
+    +inf, the limit."""
+    inv_cdf = statistics.NormalDist().inv_cdf
+    scores = [abs(inv_cdf(v * 2.0**-53)) if v else math.inf for v in np.ravel(words).tolist()]
+    return np.array(scores).reshape(np.shape(words))
+
+
+# each model's float scores of an array of words
+SCORES = {
+    "abs_cauchy": cauchy_scores,
+    "abs_normal": normal_scores,
+    "uniform": lambda words: words * 2.0**-53,
+}
 
 
 class TestViolationThreshold:
@@ -266,7 +255,7 @@ class TestRunSimulation:
 
 class TestGenerator:
     """The stream against the pure-Python SplitMix64 in ``oracles``, and
-    the score maps against the laws they should follow."""
+    the integer keys against the scores they stand in for."""
 
     SEEDS = (0, 1234567, 2**64 - 1)
 
@@ -304,47 +293,6 @@ class TestGenerator:
         first = np.concatenate([kernel_uniforms(seed, 0, 10**4) for seed in range(64)])
         assert len(np.unique(first)) == len(first)
 
-    def test_folded_box_muller_is_half_normal(self):
-        rows, width = 1000, 400
-        draws = kernel_normal_scores(kernel_words(99, 0, rows * width).reshape(rows, width))
-        half = width // 2
-        folded_x, folded_y = draws[:, :half].ravel(), draws[:, half:].ravel()
-        half_normal_cdf = np.vectorize(lambda x: math.erf(x / math.sqrt(2)))
-        for scores in (folded_x, folded_y):
-            ordered = np.sort(scores)
-            cdf = half_normal_cdf(ordered)
-            steps = np.arange(len(ordered) + 1) / len(ordered)
-            ks_stat = max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max())
-            # the Kolmogorov-Smirnov critical value at the 1% level
-            assert ks_stat < 1.63 / math.sqrt(len(ordered)), ks_stat
-        # |X| and |Y| of one pair are independent: correlation within 5 SE of 0
-        corr = np.corrcoef(folded_x, folded_y)[0, 1]
-        assert abs(corr) < 5 / math.sqrt(len(folded_x)), corr
-
-    def test_tan_form_matches_sin_cos(self):
-        rows, width = 50, 64
-        words = kernel_words(5, 0, rows * width).reshape(rows, width)
-        draws = words * 2.0**-53
-        half = width // 2
-        radius = np.sqrt(-2.0 * np.log1p(-draws[:, :half]))
-        angle = np.pi / 2 * draws[:, half:]
-        expected = np.hstack([radius * np.cos(angle), radius * np.sin(angle)])
-        np.testing.assert_allclose(kernel_normal_scores(words), expected, rtol=1e-12, atol=0)
-
-    def test_folded_affine_steps_are_exact(self):
-        # abs_normal's map, its affine steps folded into the conversion of
-        # the words, against the unfolded arithmetic on the reference
-        # uniforms: 10**5 stream draws, with the counters whose U is 0, 1/2
-        # and 1 - 2**-53 at both ends, so that both halves of the row see them
-        seed = 2024
-        edges = [splitmix64_counter(seed, v << 11) for v in (0, 2**52, 2**53 - 1)]
-        uniforms = np.array([stream_uniform(seed, c) for c in edges + list(range(10**5)) + edges])
-        assert uniforms[-3:].tolist() == [0.0, 0.5, 1 - 2**-53]
-        edge_words = [kernel_words(seed, c, 1) for c in edges]
-        words = np.concatenate(edge_words + [kernel_words(seed, 0, 10**5)] + edge_words)
-        scores = kernel_normal_scores(words.reshape(1, -1))[0]
-        assert np.array_equal(scores, unfolded_normal_scores(uniforms))
-
     def test_integer_keys_order_as_scores(self):
         # the kernel sorts and compares abs_cauchy's key a = |v - 2**52| and
         # uniform's word v in place of their float scores: on windows of
@@ -367,21 +315,40 @@ class TestGenerator:
             assert np.array_equal(cauchy_scores(above), below[: len(above)]), lo
             for words in (keys, above):
                 assert np.all(np.diff(words * 2.0**-53) > 0), lo
+        # abs_normal shares abs_cauchy's key.  Its score |Phi^-1(U)| through
+        # the float inverse CDF, on windows of 2000 keys strided by 2**6: from
+        # a to a + 2**6 the score s grows by at least 2**-47 / phi(s), that is
+        # 2**5 / (s phi(s)) >= 132 of its ulps, some 130 after the inverse
+        # CDF's rounding, so a double resolves each step.  The windows: key 0;
+        # score 1, where s phi(s) peaks; the top end up to a = 2**52 - 1; and
+        # seeded spots.  The top key 2**52 is the word 0 alone, scoring +inf.
+        stride, count = 2**6, 2000
+        span = stride * (count - 1)
+        at_one = int((statistics.NormalDist().cdf(1) - 0.5) * 2**53)
+        starts = [0, at_one - span // 2, 2**52 - 1 - span]
+        starts += [rng.randrange(2**52 - span) for _ in range(8)]
+        for lo in starts:
+            keys = np.arange(lo, lo + span + 1, stride, dtype=np.uint64)
+            above = normal_scores(2**52 + keys)
+            assert np.all(np.diff(above) > 0), lo
+            assert np.array_equal(normal_scores(2**52 - keys), above), lo
+        top = normal_scores(np.array([0, 1, 2**53 - 1], dtype=np.uint64))
+        assert top[0] == math.inf and top[1] == top[2] < math.inf
 
 
 class TestStreams:
     ALL = ("none", "ssbc", "dkwm")
     # sha256 of canonical_json(report.to_dict()), recorded with the kernel
     # whose run r takes the uniforms at counters r*w .. r*w + w - 1 of
-    # SplitMix64 started at state seed; a change to the stream, the score
-    # maps or the counting changes a digest
+    # SplitMix64 started at state seed; a change to the stream, the keys or
+    # the counting changes a digest
     PINNED = [
         (dict(n=40, m=60, alpha_target=0.1, delta=0.1, runs=700, seed=11,
               score_model="abs_cauchy", methods=ALL),
          "8619254ff983dbc44cb226dc33f96b6918f008707c348d2d6060bdb7d351f2f0"),
         (dict(n=40, m=60, alpha_target=0.1, delta=0.1, runs=700, seed=12,
               score_model="abs_normal", methods=ALL),
-         "69401afca3725a55a6ecde650f310662788bd0be49be5be849c050e08b4bc936"),
+         "cc44ec95f93f80690c40c68b640c5da6476bb9b8cab6e79c6d1686e7cbf79f39"),
         (dict(n=40, m=60, alpha_target=0.1, delta=0.1, runs=700, seed=13,
               score_model="uniform", methods=ALL),
          "4392d0e82b30b8343ae69818546cef4fcf0e30b3432e917376684bbc7b8878d5"),
@@ -391,10 +358,10 @@ class TestStreams:
          "8fba7c03f1c08597a8e94879596398812c33ecf883736b4c7adc7fd9abd17868"),
         (dict(n=1, m=7, alpha_target=0.6, delta=0.3, runs=200, seed=2**32, methods=("none",)),
          "5230d7c5060a83fb4ebd8df2bbf50a9a109c4bab5d36c4856785170049c7677e"),
-        # n + m = 10 is odd: abs_normal draws 10 uniforms a run and leaves one
+        # a one-score window
         (dict(n=9, m=1, alpha_target=0.2, delta=0.3, runs=200, seed=7,
               score_model="abs_normal", methods=("none", "ssbc")),
-         "a9aecfc7223e7d1253e003a65a7733f47c0f6140a9a7830aba612a1d3e169a7c"),
+         "ce8cd56aa183aae64da7c9df742949a6fd44f048107e5ff866dbdfb7733b2c32"),
         # with BLOCK_DRAWS = 2**16, 1000 runs are 3 blocks of 262 runs and one of 214
         (dict(n=100, m=150, alpha_target=0.3, delta=0.1, runs=1000, seed=2**40 + 3,
               methods=ALL),
@@ -425,24 +392,21 @@ class TestStreams:
     def per_run_loop(config, ks, start, stop):
         """The counting kernel one run at a time on the reference generator:
         run r's scores are the uniforms at counters r*w .. r*w + w - 1,
-        w = n + m, through the score map; the first n calibrate."""
+        w = n + m, through the model's float scores; the first n calibrate."""
         n, m = config.n, config.m
         hist = np.zeros((len(ks), m + 1), dtype=np.int64)
         for run in range(start, stop):
-            draws = np.array([stream_uniform(config.seed, run * (n + m) + j) for j in range(n + m)])
-            if config.score_model == "abs_cauchy":
-                draws = np.abs(np.tan(np.pi * (draws - 0.5)))
+            counters = range(run * (n + m), (run + 1) * (n + m))
+            words = np.array([splitmix64(config.seed, c) >> 11 for c in counters], dtype=np.uint64)
+            draws = SCORES[config.score_model](words)
             calibration, window = np.sort(draws[:n]), draws[n:]
             for j, k in enumerate(ks):
                 hist[j, m if k > n else np.count_nonzero(window <= calibration[k - 1])] += 1
         return hist
 
     def test_blocked_kernel_matches_per_run_loop(self):
-        # abs_normal is left to the split and score-map checks: its reference
-        # map takes sin and cos, which may differ from the kernel's in the
-        # last bit
         rng = random.Random(1011)
-        for score_model in ("abs_cauchy", "uniform"):
+        for score_model in SCORES:
             for _ in range(3):
                 n, m = rng.randint(1, 120), rng.randint(1, 120)
                 rows = BLOCK_DRAWS // (n + m)
@@ -459,7 +423,7 @@ class TestStreams:
         # each distinct order index is counted once and copied to every
         # method that has it, the everything set among them
         rng = random.Random(1213)
-        for score_model in ("abs_cauchy", "uniform"):
+        for score_model in SCORES:
             n, m = rng.randint(2, 120), rng.randint(1, 120)
             config = SimConfig(n=n, m=m, alpha_target=0.1, delta=0.1, runs=300,
                                seed=rng.randrange(2**64), score_model=score_model)
@@ -486,22 +450,21 @@ class TestStreams:
 
         monkeypatch.setattr(ssbc.mc, "_words", tied_words)
         ks = (1, 2, 3, 4)
-        for score_model, scores in (("abs_cauchy", cauchy_scores(table)),
-                                    ("uniform", table * 2.0**-53)):
+        for score_model, to_scores in SCORES.items():
             config = SimConfig(n=n, m=m, alpha_target=0.1, delta=0.1, runs=runs, seed=0,
                                score_model=score_model)
-            draws = scores.reshape(runs, n + m)
+            draws = to_scores(table).reshape(runs, n + m)
             calibration = np.sort(draws[:, :n], axis=1)
             covered = [(draws[:, n:] <= calibration[:, [k - 1]]).sum(axis=1) for k in ks]
             expected = [np.bincount(c, minlength=m + 1) for c in covered]
             assert np.array_equal(_count_runs(config, ks, 0, runs), expected), score_model
 
-    @pytest.mark.parametrize("score_model", ("abs_cauchy", "abs_normal", "uniform"))
+    @pytest.mark.parametrize("score_model", SCORES)
     def test_any_partition_sums_to_the_whole(self, score_model):
         rng = random.Random(score_model)
         for _ in range(3):
             n, m = rng.randint(1, 300), rng.randint(1, 300)
-            rows = max(1, BLOCK_DRAWS // _draw_width(n, m, score_model))
+            rows = max(1, BLOCK_DRAWS // (n + m))
             start = rng.randint(0, 2 * rows)
             stop = start + rng.randint(2, 3 * rows + 7)
             config = SimConfig(n=n, m=m, alpha_target=0.1, delta=0.1, runs=stop,
@@ -511,3 +474,16 @@ class TestStreams:
             bounds = [start, *cuts, stop]
             parts = sum(_count_runs(config, ks, lo, hi) for lo, hi in zip(bounds, bounds[1:]))
             assert np.array_equal(_count_runs(config, ks, start, stop), parts), (config, bounds)
+
+    @pytest.mark.parametrize("n, m", [(40, 61), (25, 75)])
+    def test_abs_models_differ_only_in_the_echoed_model(self, n, m):
+        # abs_normal and abs_cauchy count on the same key |v - 2**52|, at odd
+        # and even n + m alike
+        reports = {}
+        for score_model in ("abs_cauchy", "abs_normal"):
+            config = SimConfig(n=n, m=m, alpha_target=0.1, delta=0.1, runs=500, seed=31,
+                               score_model=score_model, methods=self.ALL)
+            report = run_simulation(config).to_dict()
+            assert report.pop("score_model") == score_model
+            reports[score_model] = canonical_json(report)
+        assert reports["abs_cauchy"] == reports["abs_normal"]
