@@ -42,14 +42,7 @@ class AdjustmentReport(Record):
         )
 
     def to_dict(self) -> dict:
-        inputs = {
-            "n": self.context.n,
-            "alpha_target": self.context.alpha_target,
-            "delta": self.context.delta,
-            "regime": self.regime.kind,
-        }
-        if self.regime.is_window:
-            inputs["m"] = self.regime.m
+        # By hand: the golden outputs pin this key order and an infeasible report's nulls.
         out = {
             "feasible": self.feasible,
             "alpha_adj": self.alpha_adj,
@@ -57,7 +50,7 @@ class AdjustmentReport(Record):
             "achieved_tail": self.achieved_tail,
             "achieved_violation": self.achieved_violation,
             "method": self.method,
-            "inputs": inputs,
+            "inputs": self.context._to_dict() | self.regime._to_dict(),
         }
         if self.epsilon is not None:
             out["epsilon"] = self.epsilon

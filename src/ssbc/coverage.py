@@ -46,8 +46,9 @@ class Record:
     and the TypeError for a missing, unknown, repeated or surplus argument.
     Equality and hashing go by the field values, and the repr is
     ``Name(field=value, ...)``.  Assignment and deletion raise
-    AttributeError; pickling restores ``__dict__``.  A report whose JSON is
-    its fields takes :meth:`_to_dict` as its ``to_dict``.
+    AttributeError; pickling restores ``__dict__``.  A report's JSON is
+    :meth:`_to_dict`, which it takes as its ``to_dict``; only
+    AdjustmentReport, whose key order the golden outputs pin, writes its own.
     """
 
     def __init_subclass__(cls) -> None:
@@ -69,15 +70,18 @@ class Record:
         fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
 
-    def _to_dict(self) -> dict:
-        """The fields in order, except those that are None, with tuples as
-        lists and records in them as their ``to_dict()``."""
+    def _to_dict(self, keep: tuple[str, ...] = ()) -> dict:
+        """The fields in order, leaving out None unless named in ``keep``, with
+        a record spliced in as its ``_to_dict()`` and a tuple as a list of those."""
         out = {}
         for name in self.__match_args__:
             value = self.__dict__[name]
+            if isinstance(value, Record):
+                out.update(value._to_dict())
+                continue
             if isinstance(value, tuple):
-                value = [v.to_dict() if isinstance(v, Record) else v for v in value]
-            if value is not None:
+                value = [v._to_dict() if isinstance(v, Record) else v for v in value]
+            if value is not None or name in keep:
                 out[name] = value
         return out
 
@@ -110,6 +114,10 @@ class CoverageRegime(Record):
     @property
     def is_window(self) -> bool:
         return self.kind == FINITE_WINDOW
+
+    def _to_dict(self) -> dict:
+        """The regime as every report prints it: "regime", then "m" for a window."""
+        return {"regime": self.kind, "m": self.m} if self.is_window else {"regime": self.kind}
 
 
 class CalibrationContext(Record):

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from operator import truediv
 
-from .coverage import CoverageRegime, Record, check_int, check_unit, tail_prob
+from .coverage import CoverageRegime, Record, check_int, check_unit, tail_prob, window_threshold
+from .specfun import MAX_REQUEST_TERMS, MAX_WINDOW_TERMS
 
 # Most factors in alpha_star_exact_finite's first product; more is refused.
 MAX_PRODUCT_STEPS = 10**7
@@ -33,19 +34,7 @@ class RungTable(Record):
     ) -> None:
         vars(self).update(n=n, alpha_target=alpha_target, regime=regime, rungs=rungs)
 
-    def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "alpha_target": self.alpha_target,
-            "regime": self.regime.kind,
-        }
-        if self.regime.is_window:
-            out["m"] = self.regime.m
-        out["rungs"] = [
-            {"u": r.u, "alpha_prime": r.alpha_prime, "attainable_delta": r.attainable_delta}
-            for r in self.rungs
-        ]
-        return out
+    to_dict = Record._to_dict
 
 
 class FeasibilityReport(Record):
@@ -145,9 +134,16 @@ def alpha_star_exact_finite(n: int, delta: float, m: int) -> float:
 
 
 def rung_table(n: int, alpha_target: float, regime: CoverageRegime) -> RungTable:
-    """Attainable delta at every rung u = 1..n <= MAX_RUNGS for the target."""
+    """Attainable delta at every rung u = 1..n <= MAX_RUNGS for the target; a
+    window table of n min(x*, m + 1 - x*) terms over MAX_REQUEST_TERMS is refused."""
     check_int("n", n, 1, MAX_RUNGS)
     check_unit("alpha_target", alpha_target)
+    if regime.is_window:
+        x, m = window_threshold(alpha_target, regime.m), regime.m
+        terms = n * min(x, m + 1 - x)
+        if MAX_REQUEST_TERMS < terms <= n * MAX_WINDOW_TERMS:  # a wider tail: the kernel refuses
+            raise ValueError(f"a window rung table at n={n}, m={m} sums {terms} terms; "
+                             f"the limit is MAX_REQUEST_TERMS = {MAX_REQUEST_TERMS}")
     rungs = tuple(
         Rung(u, u / (n + 1), attainable_delta=1.0 - tail_prob(n, u, regime, alpha_target))
         for u in range(1, n + 1)

@@ -91,20 +91,11 @@ class MethodReport(Record):
             coverage_histogram=coverage_histogram, note=note
         )
 
-    def to_dict(self) -> dict:
-        if self.skipped:
-            return self._to_dict()
-        # Kept by hand: the method "none" has no rung and prints u_star null.
-        return {
-            "method": self.method,
-            "skipped": self.skipped,
-            "alpha_used": self.alpha_used,
-            "u_star": self.u_star,
-            "empirical_violation_rate": self.empirical_violation_rate,
-            "theory_violation_rate": self.theory_violation_rate,
-            "violations": self.violations,
-            "coverage_histogram": list(self.coverage_histogram),
-        }
+    def _to_dict(self) -> dict:
+        # An active report prints u_star even when its method ("none") has no rung.
+        return Record._to_dict(self, () if self.skipped else ("u_star",))
+
+    to_dict = _to_dict
 
 
 class SimReport(Record):

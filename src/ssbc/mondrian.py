@@ -23,7 +23,7 @@ from .coverage import (
     CalibrationContext, CoverageRegime, Record, check_int, check_unit, highest_grid_index_below,
     tail_prob
 )
-from .specfun import betabinom_pmf_vector
+from .specfun import MAX_REQUEST_TERMS, betabinom_pmf_vector
 
 
 class MondrianSpec(Record):
@@ -107,17 +107,24 @@ def ssbc_mondrian(spec: MondrianSpec) -> AdjustmentReport:
       Pr(e_j <= cap_r | m_j = r) at a fixed cap is nonincreasing in u.
     - The count law Pr(m_j = r) does not depend on u, so the success
       probability is a positive mixture of nonincreasing terms.
+
+    It evaluates at most ceil(log2(u_hi + 1)) of the rungs 1..u_hi, each
+    summing m + 1 count-law terms and at most min(alpha, 1 - alpha) m (m + 1) / 2
+    + m window terms; a search that may sum more than MAX_REQUEST_TERMS is refused.
     """
-    n_j = spec.n_j
-    highest = highest_grid_index_below(spec.alpha_target, n_j)
-    found = search_grid(
-        lambda u: budget_success_prob(spec, u), min(highest, n_j - 1), 1.0 - spec.delta
-    )
+    n_j, m, alpha = spec.n_j, spec.m, spec.alpha_target
+    highest = highest_grid_index_below(alpha, n_j)
+    u_hi = min(highest, n_j - 1)
+    terms = u_hi.bit_length() * (2 * m + 1 + min(alpha, 1.0 - alpha) * m * (m + 1) / 2)
+    if terms > MAX_REQUEST_TERMS:
+        raise ValueError(f"a Mondrian search at m={m} may sum {terms:.3g} terms; "
+                         f"the limit is MAX_REQUEST_TERMS = {MAX_REQUEST_TERMS}")
+    found = search_grid(lambda u: budget_success_prob(spec, u), u_hi, 1.0 - spec.delta)
     note = "no grid level below alpha_target meets the budget constraint"
     if highest == n_j == 1:
         note = "every grid level below alpha_target has a degenerate miscoverage law"
     return grid_report(
-        CalibrationContext(n=n_j, alpha_target=spec.alpha_target, delta=spec.delta),
+        CalibrationContext(n=n_j, alpha_target=alpha, delta=spec.delta),
         CoverageRegime.window(spec.m),
         found,
         note,

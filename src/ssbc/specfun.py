@@ -39,6 +39,9 @@ _WALK_CUTOFF = 2.0**-60
 MAX_WALK_VARIANCE = 2**34
 # Most terms a window tail sums on its shorter side (2-3 us each on 2 vCPUs).
 MAX_WINDOW_TERMS = 2**16
+# Most terms a window rung table or a Mondrian search may sum (~20 s at ~2 us
+# a term); each counts its terms before any work and refuses more.
+MAX_REQUEST_TERMS = 10**7
 # A full Beta-Binomial pmf whose terms sum further than this from 1 is refused:
 # the slack the benchmark's checks allow a tail.
 PMF_MASS_SLACK = 1e-6

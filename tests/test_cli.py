@@ -198,21 +198,29 @@ class TestAdjustCommand:
         assert code == EXIT_OK
         assert json.loads(out)["u_star"] == u_star
 
-    @pytest.mark.parametrize("argv", [
-        ["adjust", "--n", "50", "--alpha", "0.1", "--delta", "0.1", "--regime", "window",
-         "--m", "100000000"],
-        ["rungs", "--n", "3", "--alpha", "0.5", "--regime", "window", "--m", "2000000000"],
-    ])
-    def test_window_tail_too_wide_is_refused_at_once(self, argv):
+    @pytest.mark.parametrize("argv, limit", [
         # each side of the window threshold holds more than MAX_WINDOW_TERMS
         # terms, so the first tail is refused before any is summed
+        pytest.param(["adjust", "--n", "50", "--alpha", "0.1", "--delta", "0.1",
+                      "--regime", "window", "--m", "100000000"], "MAX_WINDOW_TERMS", id="argv0"),
+        pytest.param(["rungs", "--n", "3", "--alpha", "0.5", "--regime", "window",
+                      "--m", "2000000000"], "MAX_WINDOW_TERMS", id="argv1"),
+        # 10**5 rows of 65,536 terms each: about 3.6 h of work
+        pytest.param(["rungs", "--n", "100000", "--alpha", "0.5", "--regime", "window",
+                      "--m", "131072"], "MAX_REQUEST_TERMS", id="argv2"),
+        # a bound of 4.0e8 terms over 10 rungs: about 110 s of work
+        pytest.param(["mondrian", "--k", "100000", "--kj", "30000", "--nj", "5000",
+                      "--m", "20000", "--alpha", "0.2", "--delta", "0.1"], "MAX_REQUEST_TERMS",
+                     id="argv3"),
+    ])
+    def test_window_tail_too_wide_is_refused_at_once(self, argv, limit):
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "ssbc.cli", *argv], env=fresh_env(),
                               capture_output=True, text=True, timeout=30)
-        assert time.perf_counter() - start < 10
+        assert time.perf_counter() - start < 1
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr.startswith("error: ")
-        assert "MAX_WINDOW_TERMS" in proc.stderr
+        assert limit in proc.stderr
 
     def test_overflow_is_an_error_not_a_traceback(self):
         # Inputs beyond the range of a double overflow inside the float
@@ -429,6 +437,26 @@ class TestRungsCommand:
         third = lines[3].split(",")
         assert float(third[2]) == pytest.approx(0.111728756277, rel=1e-9)
 
+    # Whole stdout: the key order n, alpha_target, regime, m (a window's
+    # only), rungs; the human form renders the same keys.
+    WINDOW_ROWS = [(1, "0.25", "0.416666666667"), (2, "0.5", "0.77380952381"),
+                   (3, "0.75", "0.952380952381")]
+    PINNED = [
+        (("--regime", "window", "--m", "6"),
+         '{"n": 3, "alpha_target": 0.3, "regime": "window", "m": 6, "rungs": ['
+         + ", ".join(f'{{"u": {u}, "alpha_prime": {a}, "attainable_delta": {d}}}'
+                     for u, a, d in WINDOW_ROWS) + "]}\n"),
+        (("--regime", "inf"),
+         '{"n": 3, "alpha_target": 0.3, "regime": "infinite", "rungs": ['
+         '{"u": 1, "alpha_prime": 0.25, "attainable_delta": 0.343}, '
+         '{"u": 2, "alpha_prime": 0.5, "attainable_delta": 0.784}, '
+         '{"u": 3, "alpha_prime": 0.75, "attainable_delta": 0.973}]}\n'),
+        (("--regime", "window", "--m", "6", "--format", "human"),
+         "n: 3\nalpha_target: 0.3\nregime: window\nm: 6\nrungs:\n"
+         + "".join(f"    u: {u}\n    alpha_prime: {a}\n    attainable_delta: {d}\n\n"
+                   for u, a, d in WINDOW_ROWS)),
+    ]
+
     def test_json_structure(self, capsys):
         code, out, _ = run_cli(
             capsys, "rungs", "--n", "10", "--alpha", "0.3", "--regime", "window", "--m", "25",
@@ -436,6 +464,10 @@ class TestRungsCommand:
         data = json.loads(out)
         assert data["m"] == 25
         assert len(data["rungs"]) == 10
+        for argv, stdout in self.PINNED:
+            assert run_cli(capsys, "rungs", "--n", "3", "--alpha", "0.3", *argv) == (
+                EXIT_OK, stdout, ""
+            ), argv
 
 
 class TestMondrianCommand:
