@@ -37,6 +37,9 @@ METHOD_NAMES = ("none", "ssbc", "dkwm")
 # scratch and up to 192 KiB of comparisons at a time, or one run's worth of
 # each if that is larger.
 BLOCK_DRAWS = 1 << 16
+# Most draws, runs * (n + m), of a simulation of more than one run (~1-2.5 min
+# at 6-15 ns a draw on 2 vCPUs); one run's draws are allocated, so memory bounds it.
+MAX_SIM_DRAWS = 10**10
 
 # SplitMix64: output i of the generator whose state starts at s is the
 # xor-shift-multiply finalizer in _words applied to s + (i + 1) * _GAMMA
@@ -63,6 +66,8 @@ class SimConfig(Record):
         check_unit("alpha_target", alpha_target)
         check_unit("delta", delta)
         check_int("runs", runs)
+        if runs > 1 and runs * (n + m) > MAX_SIM_DRAWS:
+            raise ValueError(f"{runs} runs of {n + m} draws exceed MAX_SIM_DRAWS = {MAX_SIM_DRAWS}")
         check_int("seed", seed, 0, 2**64 - 1)
         if score_model not in SCORE_MODELS:
             raise ValueError(f"score_model must be one of {SCORE_MODELS}, got {score_model!r}")
@@ -285,7 +290,8 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
             alpha_used=report.alpha_used,
             u_star=report.u_star,
             empirical_violation_rate=violations / config.runs,
-            theory_violation_rate=math.fsum(theory_overlay(config, report)[:x_star]),
+            # fsum is correctly rounded in any order; from x* - 1 down it is ~20x faster
+            theory_violation_rate=math.fsum(theory_overlay(config, report)[x_star - 1 :: -1]),
             violations=violations,
             coverage_histogram=tuple(int(c) for c in hist),
         )

@@ -9,13 +9,15 @@ contract, as measured, not proven: the absolute error of
 at most 1.0e-15 at N = 1e3, 7.4e-15 at 1e6, 6.6e-14 at 1e8, 2.1e-13 at 1e9
 and 6.7e-13 at 1e10 (where scipy's binomial CDF is off by up to 3.1e-12).
 
-The Beta-Binomial terms are evaluated in log space (via ``math.lgamma``),
-each with the rounding of lgamma values of size about N ln N, N = a + b + m,
-so the absolute error of the pmf sums grows like N ln N; against exact
-integer arithmetic it stayed below 1e-15 * N ln N (tails at shapes
-(n+1-u, u): 1.2e-12 at n = m = 1e3, 4.8e-11 at n = m = 1e4, 3.5e-10 at
-n = 1e3 and m = 1e5, 2.9e-9 at n = 1e3 and m = 1e6).  A tail is summed
-on the shorter side of its threshold, of at most MAX_WINDOW_TERMS terms.
+The full Beta-Binomial pmf (:func:`betabinom_pmf_vector`) is one ratio walk
+from the mode: against 50-digit mpmath every term above 1e-290 was within
+5.7e-15 of its value, relatively, at m <= 1000 and integer shapes up to 1e18
+(2.5e-15 at float shapes in (0.05, 1e4)).  Single terms and tails are summed
+in log space (``math.lgamma``), so their absolute error grows like N ln N,
+N = a + b + m: against exact integers it stayed below 1e-15 * N ln N (tails
+at shapes (n+1-u, u): 1.2e-12 at n = m = 1e3, 4.8e-11 at n = m = 1e4,
+3.5e-10 at n = 1e3 and m = 1e5, 2.9e-9 at n = 1e3 and m = 1e6).  A tail is
+summed on the shorter side of its threshold, of at most MAX_WINDOW_TERMS terms.
 
 Every function takes the law's parameters as plain numbers, in the order
 scipy.stats uses: the point, then the trial count m of a Beta-Binomial, then
@@ -30,7 +32,8 @@ import functools
 import math
 from array import array
 from collections.abc import Iterator
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import mul, truediv
 
 # A binomial walk stops on each side where a term falls below this share of
 # the running sum.  It covers about 16 standard deviations, so a law of
@@ -42,9 +45,6 @@ MAX_WINDOW_TERMS = 2**16
 # Most terms a window rung table or a Mondrian search may sum (~20 s at ~2 us
 # a term); each counts its terms before any work and refuses more.
 MAX_REQUEST_TERMS = 10**7
-# A full Beta-Binomial pmf whose terms sum further than this from 1 is refused:
-# the slack the benchmark's checks allow a tail.
-PMF_MASS_SLACK = 1e-6
 
 
 def check_int(name: str, value, lo: int = 1, hi: int | None = None) -> None:
@@ -194,19 +194,25 @@ def betabinom_pmf(r: int, m: int, a: float, b: float) -> float:
 
 
 def betabinom_pmf_vector(m: int, a: float, b: float) -> list[float]:
-    """The full pmf over r = 0..m as a list.  Raises ValueError, naming the
-    law, when a term overflows or the terms sum further than PMF_MASS_SLACK
-    from 1: a check for gross failures only, and no term is rescaled."""
+    """The full pmf over r = 0..m, by one walk out from the mode: floor((m+1)(a-1)/(a+b-2))
+    if a + b > 2, else the larger end.  With a = A/D and b = B/D, a step up multiplies by
+    p(r+1)/p(r) = (m-r)(r D + A) / ((r+1)((m-r-1) D + B)), a correctly rounded quotient of
+    exact integers; below the mode the walk steps up the mirrored law Beta-Binomial(m; b, a).
+    The terms are divided by their sum, taken from the mode out."""
     _check_law(a, b, m)
-    try:
-        pmf = list(_betabinom_terms(m, a, b, 0, m + 1))
-        mass = math.fsum(pmf)
-    except OverflowError:
-        mass = math.inf
-    if not abs(mass - 1.0) <= PMF_MASS_SLACK:
-        raise ValueError(f"Beta-Binomial(m={m}; a={a!r}, b={b!r}) is beyond the log-space "
-                         f"pmf: its terms sum to {mass!r}, not 1 within {PMF_MASS_SLACK}")
-    return pmf
+    A, Da = (a, 1) if isinstance(a, int) else float(a).as_integer_ratio()
+    B, Db = (b, 1) if isinstance(b, int) else float(b).as_integer_ratio()
+    A, B, D = A * Db, B * Da, Da * Db
+
+    def walk(A: int, B: int, r: int) -> list[float]:  # p(r+1..m) / p(r) at shapes A/D, B/D
+        nums = map(mul, range(m - r, 0, -1), range(r * D + A, m * D + A, D))
+        dens = map(mul, range(r + 1, m + 1), range((m - r - 1) * D + B, B - D, -D))
+        return list(accumulate(map(truediv, nums, dens), mul))
+
+    mode = min(m, max(0, (m + 1) * (A - D) // (A + B - 2 * D))) if A + B > 2 * D else m * (A > B)
+    above, below = walk(A, B, mode), walk(B, A, m - mode)
+    total = math.fsum(chain((1.0,), above, below))
+    return [term / total for term in chain(reversed(below), (1.0,), above)]
 
 
 def betabinom_survival(x_star: int, m: int, a: float, b: float) -> float:

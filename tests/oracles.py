@@ -34,14 +34,25 @@ class DegenerateRungError(ValueError):
 
 
 def binom_tail(n: int, p, k: int) -> Fraction:
-    """Pr(Bin(n, p) >= k), exact for rational (or float-rational) p."""
+    """Pr(Bin(n, p) >= k), exact for rational (or float-rational) p in [0, 1].
+
+    With p = M/D and Q = D - M, the tail is the integer sum of
+    C(n, j) M^j Q^(n-j) over j >= k, over the one denominator D^n."""
     p = Fraction(p)
     if k <= 0:
         return Fraction(1)
     if k > n:
         return Fraction(0)
-    q = 1 - p
-    return sum(Fraction(comb(n, j)) * p**j * q ** (n - j) for j in range(k, n + 1))
+    M, D = p.numerator, p.denominator
+    Q = D - M
+    if Q == 0:
+        return Fraction(1)
+    hits, term = 0, comb(n, k) * M**k * Q ** (n - k)
+    for j in range(k, n + 1):
+        hits += term
+        # C(n, j+1) M^(j+1) Q^(n-j-1): an exact division
+        term = term * (n - j) * M // ((j + 1) * Q)
+    return Fraction(hits, D**n)
 
 
 def binom_rung_tail(n: int, u: int, alpha_target: float) -> Fraction:

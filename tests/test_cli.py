@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from ssbc.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser, main
 from ssbc.serialize import canonical_json
 
+from oracles import bb_window_tail
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -492,14 +494,41 @@ class TestMondrianCommand:
         data = json.loads(out)
         assert data["skipped_rungs"] == [1]
 
-    def test_lost_pmf_mass_is_an_error(self, capsys):
-        # The class-count law's log-space terms sum to ~108 at these shapes.
+    def test_huge_class_count_shapes_decide_right(self, capsys):
+        # The count law BB(92; 428571428571428, 571428571428572), whose
+        # log-space terms once summed to ~108: its terms in 50-digit mpmath,
+        # times exact window tails, price every rung the search may take.
+        mp = pytest.importorskip("mpmath")
+        k, k_j, n_j, m, alpha, delta = 10**15, 428571428571428, 50, 92, "0.43", "0.22"
         code, out, err = run_cli(
-            capsys, "mondrian", "--k", "1000000000000000", "--kj", "428571428571428",
-            "--nj", "50", "--m", "92", "--alpha", "0.43", "--delta", "0.22",
+            capsys, "mondrian", "--k", str(k), "--kj", str(k_j), "--nj", str(n_j),
+            "--m", str(m), "--alpha", alpha, "--delta", delta,
         )
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err.startswith("error: Beta-Binomial(m=92; a=428571428571428,")
+        assert code in (EXIT_OK, EXIT_INFEASIBLE) and err == ""
+        data = json.loads(out)
+        u_hi = min(math.ceil(Fraction(alpha) * (n_j + 1)) - 1, n_j - 1)
+        with mp.workdps(50):
+            weights = [mp.binomial(m, r) * mp.rf(k_j, r) * mp.rf(k - k_j, m - r) / mp.rf(k, m)
+                       for r in range(m + 1)]
+
+            def success(u):
+                # the window of r class-j items may hold floor(alpha r) errors
+                tails = (bb_window_tail(r - math.floor(Fraction(alpha) * r), r, n_j - 1, u)
+                         for r in range(m + 1))
+                return mp.fsum(w * mp.mpf(t.numerator) / t.denominator
+                               for w, t in zip(weights, tails))
+
+            target = 1 - Fraction(delta)
+
+            def meets(u):
+                return success(u) >= mp.mpf(target.numerator) / target.denominator
+
+            if code == EXIT_OK:
+                u = data["u_star"]
+                assert meets(u) and (u == u_hi or not meets(u + 1)), u
+                assert data["achieved_tail"] == pytest.approx(float(success(u)), abs=1e-11)
+            else:
+                assert not meets(1)
 
 
 class TestSimulateCommand:
@@ -538,6 +567,17 @@ class TestSimulateCommand:
         code, out, _ = run_cli(capsys, *self.ARGS, "--methods", "dkwm")
         data = json.loads(out)
         assert [m["method"] for m in data["methods"]] == ["dkwm"]
+
+    def test_too_many_draws_are_refused_at_once(self):
+        # 10**12 runs of 2 draws each: hours of counting
+        argv = ["simulate", "--n", "1", "--m", "1", "--alpha", "0.5", "--delta", "0.4",
+                "--runs", "1000000000000", "--seed", "1", "--methods", "none"]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "ssbc.cli", *argv], env=fresh_env(),
+                              capture_output=True, text=True, timeout=30)
+        assert time.perf_counter() - start < 1
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert proc.stderr.startswith("error: ") and "MAX_SIM_DRAWS" in proc.stderr
 
     def test_unallocatable_draws_are_an_error(self, capsys):
         # 7.11 PiB of draws exceeds the address space: the allocation fails

@@ -1,17 +1,20 @@
 import concurrent.futures
 import hashlib
+import json
 import math
 import os
 import random
 import statistics
+from decimal import Context
 
 import numpy as np
 import pytest
 
-from ssbc.coverage import CalibrationContext, CoverageRegime, window_threshold
+from ssbc.coverage import CalibrationContext, CoverageRegime, order_index, window_threshold
 from ssbc.adjust import ssbc_adjust
 from ssbc.mc import (
     BLOCK_DRAWS,
+    MAX_SIM_DRAWS,
     MethodReport,
     SimConfig,
     _count_runs,
@@ -21,7 +24,7 @@ from ssbc.mc import (
 )
 from ssbc.serialize import canonical_json
 
-from oracles import bb_survival, method_report, splitmix64, stream_uniform
+from oracles import bb_survival, bb_window_tail, method_report, splitmix64, stream_uniform
 
 
 def kernel_words(seed, counter, count):
@@ -130,6 +133,27 @@ class TestRunSimulation:
             assert method.violations == sum(method.coverage_histogram[:x_star])
             assert method.empirical_violation_rate == method.violations / config.runs
 
+    def test_printed_theory_rate_is_the_exact_value_rounded(self):
+        # Pr(coverage count < x*) under the exact window law, through the
+        # hypergeometric identity, against the 12 digits the report prints
+        rng = random.Random(26)
+        for _ in range(100):
+            n, m = (int(10 ** rng.uniform(0, 3)) for _ in range(2))
+            config = SimConfig(n=n, m=m, alpha_target=rng.randint(1, 500) / 1000,
+                               delta=rng.randint(1, 500) / 1000, runs=1, seed=1,
+                               methods=("none", "ssbc", "dkwm"))
+            x_star = window_threshold(config.alpha_target, m)
+            report = run_simulation(config)
+            printed = json.loads(canonical_json(report.to_dict()))["methods"]
+            for method, shown in zip(report.methods, printed):
+                if method.skipped:
+                    continue
+                u = method.u_star if method.u_star is not None else n + 1 - order_index(
+                    config.alpha_target, n)
+                exact = 1 - bb_window_tail(x_star, m, n, u)
+                want = Context(prec=40).divide(exact.numerator, exact.denominator)
+                assert shown["theory_violation_rate"] == float(f"{want:.12g}"), (config, method)
+
     def test_empirical_matches_theory_within_mc_error(self):
         config = SimConfig(
             n=50, m=100, alpha_target=0.1, delta=0.1, runs=20_000, seed=12345,
@@ -181,6 +205,14 @@ class TestRunSimulation:
             SimConfig(n=5, m=5, alpha_target=0.1, delta=0.1, runs=10, seed=True)
         with pytest.raises(ValueError):
             SimConfig(n=5, m=5, alpha_target=0.1, delta=0.1, runs=10, seed=2**64)
+
+    def test_draw_limit(self):
+        # MAX_SIM_DRAWS = runs * (n + m) is accepted, one more run is not;
+        # a single run is bounded by its allocation instead
+        SimConfig(n=1, m=1, alpha_target=0.5, delta=0.4, runs=MAX_SIM_DRAWS // 2, seed=1)
+        with pytest.raises(ValueError, match="MAX_SIM_DRAWS"):
+            SimConfig(n=1, m=1, alpha_target=0.5, delta=0.4, runs=MAX_SIM_DRAWS // 2 + 1, seed=1)
+        SimConfig(n=MAX_SIM_DRAWS, m=1, alpha_target=0.5, delta=0.4, runs=1, seed=1)
 
     def test_seed_echo_and_metadata(self):
         config = SimConfig(n=10, m=10, alpha_target=0.3, delta=0.3, runs=50, seed=424242)
@@ -366,10 +398,12 @@ class TestStreams:
         (dict(n=100, m=150, alpha_target=0.3, delta=0.1, runs=1000, seed=2**40 + 3,
               methods=ALL),
          "2bd60cdd49c307242e4653dff1ebf1a35b8080f2f3670bb6a877bd1a72c7a33d"),
-        # one run's draws exceed half of BLOCK_DRAWS: one run per block
+        # one run's draws exceed half of BLOCK_DRAWS: one run per block.  Its
+        # theory rates print as 0.483032367453 and 0.099434990236, the exact
+        # 0.48303236745273004... and 0.099434990236023866... rounded
         (dict(n=30000, m=5000, alpha_target=0.05, delta=0.1, runs=3, seed=5,
               score_model="uniform", methods=("none", "ssbc")),
-         "77a18483f589c860d0a95bb6aaf63b7c14fc7b6f9ef0df0d5f813a7e1a443469"),
+         "abc24fa583fd1a7bc45b27a393fce5aea532b1a629b71be740bf9e4acd41d889"),
     ]
 
     @pytest.mark.parametrize("case, digest", PINNED)

@@ -244,12 +244,26 @@ class TestBetaBinomial:
         assert total == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("m,a,b", [
-        (92, 428571428571428, 571428571428572),  # terms sum to ~108
-        (50, 3 * 10**17, 4 * 10**17),  # a term overflows
+        (92, 428571428571428, 571428571428572),  # log-space terms summed to ~108
+        (50, 3 * 10**17, 4 * 10**17),  # a log-space term overflowed
     ])
-    def test_gross_mass_error_is_refused(self, m, a, b):
-        with pytest.raises(ValueError, match=rf"^Beta-Binomial\(m={m}; a={a}, b={b}\)"):
-            betabinom_pmf_vector(m, a, b)
+    def test_huge_shapes_match_mpmath(self, m, a, b):
+        # Pr(X = r) = C(m, r) a^(r) b^(m-r) / (a+b)^(m), in rising factorials
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            want = [mp.binomial(m, r) * mp.rf(a, r) * mp.rf(b, m - r) / mp.rf(a + b, m)
+                    for r in range(m + 1)]
+        for r, (got, exact) in enumerate(zip(betabinom_pmf_vector(m, a, b), want)):
+            assert abs(got - exact) <= 1e-14 * exact, r
+
+    def test_pmf_vector_against_exact_rationals(self):
+        rng = random.Random(2026)
+        for _ in range(30):
+            m = rng.randint(1, 300)
+            a, b = rng.randint(1, 400), rng.randint(1, 400)
+            for r, got in enumerate(betabinom_pmf_vector(m, a, b)):
+                exact = bb_pmf(r, m, a, b)
+                assert abs(got - exact) <= 1e-14 * exact, (m, a, b, r)
 
     @given(st.integers(1, 40), st.floats(0.1, 300.0), st.floats(0.1, 300.0))
     @settings(max_examples=150)
