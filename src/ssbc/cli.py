@@ -73,35 +73,25 @@ def _regime_from_flags(args):
     return CoverageRegime.infinite()
 
 
-def _rungs_csv(table) -> str:
-    lines = ["u,alpha_prime,attainable_delta"]
-    for rung in table.rungs:
-        lines.append(
-            f"{rung.u},{format_float(rung.alpha_prime)},{format_float(rung.attainable_delta)}"
-        )
+def _csv(header: str, rows) -> str:
+    """A table as CSV, each cell as :func:`_scalar` writes a value that is
+    not None: a float by format_float, anything else by str."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join([format_float(x) if type(x) is float else str(x) for x in row]))
     return "\n".join(lines)
 
 
-def _simulate_csv(config, report) -> str:
-    from .mc import theory_overlay
-
-    lines = ["method,coverage_level,count,theory_pmf"]
-    for method in report.methods:
-        if method.skipped:
-            continue
-        pmf = theory_overlay(config, method)
-        for level, (count, theory) in enumerate(zip(method.coverage_histogram, pmf)):
-            lines.append(
-                f"{method.method},{format_float(level / report.m)},{count},{format_float(theory)}"
-            )
-    return "\n".join(lines)
+def _record(cls, args, **given):
+    """A ``cls`` whose fields are the flags of the same names, or ``given``."""
+    return cls(**{name: getattr(args, name) for name in cls.__match_args__} | given)
 
 
 def _cmd_adjust(args):
     from .adjust import dkwm_adjust, ssbc_adjust
     from .coverage import CalibrationContext
 
-    ctx = CalibrationContext(n=args.n, alpha_target=args.alpha, delta=args.delta)
+    ctx = _record(CalibrationContext, args)
     if args.method == "dkwm" and args.regime == "window":
         raise _UsageError("the dkwm method has no finite-window variant")
     regime = _regime_from_flags(args)
@@ -116,59 +106,55 @@ def _cmd_feasible(args):
 
 
 def _cmd_rungs(args):
-    from .feasibility import rung_table
+    from operator import attrgetter
 
-    table = rung_table(args.n, args.alpha, _regime_from_flags(args))
-    return (_rungs_csv(table) if args.format == "csv" else table.to_dict()), True
+    from .feasibility import Rung, rung_table
+
+    table = rung_table(args.n, args.alpha_target, _regime_from_flags(args))
+    if args.format == "csv":
+        fields = Rung.__match_args__
+        return _csv(",".join(fields), map(attrgetter(*fields), table.rungs)), True
+    return table.to_dict(), True
 
 
 def _cmd_mondrian(args):
     from .mondrian import MondrianSpec, ssbc_mondrian
 
-    spec = MondrianSpec(
-        k=args.k,
-        k_j=args.kj,
-        n_j=args.nj,
-        m=args.m,
-        alpha_target=args.alpha,
-        delta=args.delta,
-    )
+    spec = _record(MondrianSpec, args)
     report = ssbc_mondrian(spec)
     data = report.to_dict()
-    data["inputs"].update(k=spec.k, k_j=spec.k_j, n_j=spec.n_j)
+    data["inputs"].update(spec._to_dict())
     return data, report.feasible
 
 
 def _cmd_simulate(args):
-    from .mc import SimConfig, run_simulation
+    from .mc import SimConfig, run_simulation, theory_overlay
 
-    config = SimConfig(
-        n=args.n,
-        m=args.m,
-        alpha_target=args.alpha,
-        delta=args.delta,
-        runs=args.runs,
-        seed=args.seed,
-        score_model=args.score_model,
-        methods=tuple(args.methods.split(",")),
-    )
+    config = _record(SimConfig, args, methods=tuple(args.methods.split(",")))
     report = run_simulation(config, workers=args.workers)
-    return (_simulate_csv(config, report) if args.format == "csv" else report.to_dict()), True
+    if args.format != "csv":
+        return report.to_dict(), True
+    rows = ((method.method, level / config.m, count, theory)
+            for method in report.methods if not method.skipped
+            for level, (count, theory) in enumerate(
+                zip(method.coverage_histogram, theory_overlay(config, method))))
+    return _csv("method,coverage_level,count,theory_pmf", rows), True
 
 
-# Each flag's settings, stated once.  A flag with no default is required
-# unless its subcommand lists it with a trailing "?".
+# Each flag's settings, stated once, with the record field it fills as dest.
+# A flag with no default is required unless its subcommand lists it as "m?".
 _FLAGS = {
     "n": dict(type=int, help="calibration set size (symbol n)"),
-    "alpha": dict(type=float, help="target miscoverage level (symbol α)"),
+    "alpha": dict(type=float, dest="alpha_target", metavar="ALPHA",
+                  help="target miscoverage level (symbol α)"),
     "delta": dict(type=float, help="risk tolerance over calibration draws (symbol δ)"),
     "regime": dict(choices=("inf", "window"), help="coverage law: infinite test stream or "
                    "finite window; window requires --m"),
     "m": dict(type=int, help="inference window size (symbol m)"),
     "method": dict(choices=("ssbc", "dkwm"), default="ssbc"),
     "k": dict(type=int, help="training set size (symbol k)"),
-    "kj": dict(type=int, help="class-j training count (symbol k_j)"),
-    "nj": dict(type=int, help="class-j calibration size (symbol n_j)"),
+    "kj": dict(type=int, dest="k_j", metavar="KJ", help="class-j training count (symbol k_j)"),
+    "nj": dict(type=int, dest="n_j", metavar="NJ", help="class-j calibration size (symbol n_j)"),
     "runs": dict(type=int, help="number of Monte Carlo runs"),
     "seed": dict(type=int, help="64-bit unsigned seed"),
     "methods": dict(default="none,ssbc", help="comma-separated subset of none,ssbc,dkwm"),

@@ -138,20 +138,12 @@ def bb_rung_count_tail(x_star: int, m: int, n: int, u: int) -> Fraction:
 
 
 def log_beta_int(a: int, b: int) -> float:
-    """ln B(a, b) through exact integer factorials.
+    """ln B(a, b) through exact integers: B(a, b) = 1 / ((a+b-1) C(a+b-2, a-1)).
 
-    The ratio is rescaled by a power of two before the single ``log`` call,
-    so no precision is lost to cancellation even when both factorials are
-    astronomically large.
+    ``math.log`` of an integer takes its exponent apart before rounding, so
+    each log is accurate however large the binomial coefficient grows.
     """
-    num = factorial(a - 1) * factorial(b - 1)
-    den = factorial(a + b - 1)
-    shift = num.bit_length() - den.bit_length()
-    if shift >= 0:
-        mantissa = Fraction(num, den << shift)
-    else:
-        mantissa = Fraction(num << -shift, den)
-    return math.log(float(mantissa)) + shift * math.log(2.0)
+    return -math.log(a + b - 1) - math.log(comb(a + b - 2, a - 1))
 
 
 def binom_cdf_mp(n: int, x: float, ks, digits: int = 30) -> list[float]:

@@ -603,6 +603,20 @@ class TestGoldenExamples:
         assert out.encode() == (GOLDEN / example["file"]).read_bytes()
 
 
+class TestByteCorpus:
+    """Every argv of ``cli_corpus.ARGVS`` keeps the exit code, stdout and
+    stderr pinned in ``cli_corpus.txt``, run in one new interpreter."""
+
+    def test_every_argv_keeps_its_pins(self):
+        corpus = Path(__file__).with_name("cli_corpus.py")
+        proc = subprocess.run([sys.executable, str(corpus)], env=fresh_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        pinned = corpus.with_name("cli_corpus.txt").read_text().splitlines()
+        assert len(pinned) >= 40
+        assert proc.stdout.splitlines() == pinned
+
+
 class TestBenchmarkHooks:
     """The benchmark's tracer wraps library functions by (module, name); a
     renamed or removed target would stop a traced run, so every target must
