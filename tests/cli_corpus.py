@@ -26,6 +26,7 @@ _RUNGS_INF = "rungs --n 20 --alpha 0.2 --regime inf"
 _RUNGS_WINDOW = "rungs --n 20 --alpha 0.2 --regime window --m 30"
 _MONDRIAN = "mondrian --k 40 --kj 12 --nj 30 --m 12 --alpha 0.2 --delta 0.15"
 _SIMULATE = "simulate --n 15 --m 20 --alpha 0.25 --delta 0.2 --runs 200 --seed 9"
+_SIMULATE_LARGE = "simulate --n 1000 --m 1000 --delta 0.1 --runs 300 --seed 23 --methods none,ssbc,dkwm"
 
 ARGVS = [
     # adjust: both methods, both regimes, every format, both answers
@@ -89,6 +90,11 @@ ARGVS = [
     f"{_SIMULATE} --methods none,bogus",
     f"{_SIMULATE} --score-model gauss",
     "simulate --n 1 --m 1 --alpha 0.5 --delta 0.4 --runs 1000000000000 --seed 1 --methods none",
+    # simulate at n = m = 1000: order indices near the top and near the bottom
+    f"{_SIMULATE_LARGE} --alpha 0.1",
+    f"{_SIMULATE_LARGE} --alpha 0.1 --score-model uniform",
+    f"{_SIMULATE_LARGE} --alpha 0.9",
+    f"{_SIMULATE_LARGE} --alpha 0.1 --format csv",
     "simulate --help",
     # the top level
     "--help",
