@@ -9,10 +9,11 @@ r's w = n + m uniforms are outputs ``r*w .. r*w + w - 1`` of SplitMix64
 started at state ``seed`` (Steele, Lea & Flood, OOPSLA 2014), so any run's
 draws can be computed without the ones before it (Salmon et al., SC 2011).
 Reports are therefore byte-identical however the runs are split among
-worker threads.  Runs are counted a block at a time, in 15 or 17 array
+worker threads.  Runs are counted a block at a time, in 15 to 18 array
 operations however many methods are counted: ten make the stream's words;
 none (uniform) or two (the abs_ models) make the integer keys that every
-model sorts in place of its scores (see :func:`_count_runs`); one sorts;
+model orders in place of its scores (see :func:`_count_runs`); one sorts
+the calibration keys, or two select the order statistics the methods read;
 and four count every method's covered window scores.  Threads run while
 numpy releases the interpreter lock inside those operations, so fewer,
 longer ones leave them less time waiting on it.
@@ -40,6 +41,14 @@ BLOCK_DRAWS = 1 << 16
 # Most draws, runs * (n + m), of a simulation of more than one run (~1-2.5 min
 # at 6-15 ns a draw on 2 vCPUs); one run's draws are allocated, so memory bounds it.
 MAX_SIM_DRAWS = 10**10
+# Longest calibration row that _count_runs sorts whole; a longer row is
+# partitioned at one order index and only the side beyond it is sorted, if
+# that side is at most a third of the row.  numpy 2.4.6 sorts an int64 row
+# of at most 256 keys in one sorting network (AVX-512 here).  Per block of
+# 2**16 draws, m = n, order indices near 0.9n, 2-vCPU Xeon, sort against
+# select: n = 256 89 / 114 us, n = 257 151 / 95 us, n = 1000 142 / 57 us;
+# at n = 300 with the side beyond half the row 162 / 182 us, a third 165 / 127 us.
+_SORT_MAX_N = 256
 
 # SplitMix64: output i of the generator whose state starts at s is the
 # xor-shift-multiply finalizer in _words applied to s + (i + 1) * _GAMMA
@@ -151,7 +160,14 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
     score of the block in one array operation, and counted in one more; a
     method whose k is n + 1 covers every window, so its runs need no draws.
 
-    Coverage depends only on how the scores order, so every model sorts and
+    Only the calibration keys at the distinct order indices are read.  A
+    row of at most ``_SORT_MAX_N`` keys is sorted whole; a longer one is
+    partitioned at its lowest (or highest) order index and only the side
+    beyond it sorted, when that side is at most a third of the row.  Either
+    way every order statistic the comparisons read is in place, ties
+    included.
+
+    Coverage depends only on how the scores order, so every model orders and
     compares integer keys that order as its scores do, ties included:
 
     - uniform: the word v itself, as U = v 2**-53 is exact.
@@ -193,6 +209,11 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
     covered = np.empty((rows, len(orders)), dtype=np.min_scalar_type(counts.size))
     offsets = np.arange(len(orders), dtype=covered.dtype) * (m + 1)
     columns = np.array(orders) - 1
+    # sort the whole row, or partition it at kth and sort the side beyond
+    first, last = columns[0], columns[-1]
+    kth, side = None, slice(None)
+    if n > _SORT_MAX_N and 3 * min(n - first, last + 1) <= n:
+        kth, side = (first, slice(first, None)) if n - first <= last + 1 else (last, slice(last + 1))
     for lo in range(start, stop, rows):
         count = min(rows, stop - lo)
         words = state[: count * width]
@@ -204,7 +225,9 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
             keys -= 2**52
             np.abs(keys, out=keys)
         calibration, window = keys[:, :n], keys[:, n:]
-        calibration.sort(axis=1)
+        if kth is not None:
+            calibration.partition(kth, axis=1)
+        calibration[:, side].sort(axis=1)
         # score equal to the threshold counts as covered
         np.less_equal(window[:, None, :], calibration[:, columns, None], out=below[:count])
         np.add.reduce(below[:count], axis=2, out=covered[:count])
@@ -237,7 +260,7 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
     ``workers`` splits the runs into min(workers, runs) disjoint ranges,
     counted by a thread pool of at most one thread per CPU the process may
     run on (``os.sched_getaffinity``, else ``os.cpu_count()``).  Each thread
-    counts its range a block of ``BLOCK_DRAWS`` draws at a time, in 15 or 17
+    counts its range a block of ``BLOCK_DRAWS`` draws at a time, in 15 to 18
     array operations per block, and numpy releases the interpreter lock
     inside them; the result does not depend on the worker count.  The
     abs_normal and abs_cauchy models count on the same integer keys, so
@@ -293,7 +316,7 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
             # fsum is correctly rounded in any order; from x* - 1 down it is ~20x faster
             theory_violation_rate=math.fsum(theory_overlay(config, report)[x_star - 1 :: -1]),
             violations=violations,
-            coverage_histogram=tuple(int(c) for c in hist),
+            coverage_histogram=tuple(hist.tolist()),
         )
     return SimReport(
         n=config.n,

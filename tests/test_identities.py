@@ -2,8 +2,9 @@
 
 Where two subcommands evaluate one law by different code, their answers
 must agree: ``rungs`` and ``adjust`` (both regimes), ``adjust --method
-dkwm`` and ``rungs``, ``feasible --m`` and rung 1 of the window law, and
-``simulate``'s theory rate and ``adjust``'s window violation.  Each check
+dkwm`` and ``rungs``, ``feasible --m`` and rung 1 of the window law,
+``simulate``'s theory rate and ``adjust``'s window violation, and
+``adjust`` at a one-score window and the rung floor(delta (n+1)).  Each check
 runs seeded log-uniform draws with delta in [1e-6, 0.9], through the
 functions the subcommands call.
 """
@@ -124,3 +125,20 @@ def test_simulate_theory_rate_is_adjusts_window_violation():
         assert (abs(method.theory_violation_rate - report.achieved_violation)
                 <= 1e-15 * big_n * math.log(big_n)), case
     assert checked >= 20
+
+
+def test_one_score_window_rung_is_delta_times_n_plus_one():
+    # With m = 1 the window misses with probability u/(n+1) at rung u, so
+    # u* = min(u_hi, floor(delta (n+1))) in exact fractions of the decimals,
+    # 0 meaning infeasible.  No draw here lands exactly on delta (n+1) = u:
+    # at such a tie the lgamma tail reads u/(n+1) a few ulps high once n is
+    # in the thousands, and u* comes out one rung low (ROADMAP item 2).
+    rng = random.Random("window-m1")
+    answered = 0
+    for _ in range(2000):
+        n, alpha, d = int(log_uniform(rng, 1, 1e5)), level(rng, 1e-3, 0.9), level(rng, 1e-6, 0.9)
+        expected = min(u_hi(alpha, n), math.floor(Fraction(repr(d)) * (n + 1)))
+        report = ssbc_adjust(CalibrationContext(n, alpha, d), CoverageRegime.window(1))
+        assert (report.u_star if report.feasible else 0) == expected, (n, alpha, d)
+        answered += expected > 0
+    assert answered >= 600

@@ -16,6 +16,7 @@ from ssbc.mc import (
     BLOCK_DRAWS,
     MAX_SIM_DRAWS,
     MethodReport,
+    _SORT_MAX_N,
     SimConfig,
     _count_runs,
     _words,
@@ -438,17 +439,33 @@ class TestStreams:
                 hist[j, m if k > n else np.count_nonzero(window <= calibration[k - 1])] += 1
         return hist
 
+    @staticmethod
+    def clustered_orders(rng, n, alpha, distinct):
+        """``distinct`` order indices within 5 of the target's own at level
+        alpha: near the top of the row at alpha 0.1, near the bottom at 0.9.
+        Above _SORT_MAX_N such a row is partitioned and only its short side
+        sorted."""
+        k = order_index(alpha, n)
+        return tuple(rng.sample(range(k - 5, k + 6), distinct))
+
     def test_blocked_kernel_matches_per_run_loop(self):
         rng = random.Random(1011)
         for score_model in SCORES:
+            cases = []
             for _ in range(3):
                 n, m = rng.randint(1, 120), rng.randint(1, 120)
+                cases.append((n, m, (1, rng.randint(1, n), n, n + 1)))
+            # rows above the full-sort length, with 1, 2 and 3 distinct orders
+            # near the top and near the bottom
+            for alpha, distinct in [(0.1, 1), (0.9, 2), (0.1, 3), (0.9, 3)]:
+                n, m = _SORT_MAX_N + rng.randint(1, 150), rng.randint(1, 60)
+                cases.append((n, m, (*self.clustered_orders(rng, n, alpha, distinct), n + 1)))
+            for n, m, ks in cases:
                 rows = BLOCK_DRAWS // (n + m)
                 start = rng.randint(0, 2 * rows)
                 stop = start + rng.randint(1, rows + 5)
                 config = SimConfig(n=n, m=m, alpha_target=0.1, delta=0.1, runs=stop,
                                    seed=rng.randrange(2**64), score_model=score_model)
-                ks = (1, rng.randint(1, n), n, n + 1)
                 assert np.array_equal(
                     _count_runs(config, ks, start, stop), self.per_run_loop(config, ks, start, stop)
                 ), (config, ks, start, stop)
@@ -459,13 +476,18 @@ class TestStreams:
         rng = random.Random(1213)
         for score_model in SCORES:
             n, m = rng.randint(2, 120), rng.randint(1, 120)
-            config = SimConfig(n=n, m=m, alpha_target=0.1, delta=0.1, runs=300,
-                               seed=rng.randrange(2**64), score_model=score_model)
-            k = rng.randint(1, n)
-            for ks in ((k, k, n + 1), (n + 1, k, n + 1, k), (n + 1, n + 1)):
-                assert np.array_equal(
-                    _count_runs(config, ks, 17, 300), self.per_run_loop(config, ks, 17, 300)
-                ), (config, ks)
+            cases = [(n, m, rng.randint(1, n), 300)]
+            # rows above the full-sort length, the order near the top and the bottom
+            for alpha in (0.1, 0.9):
+                n = _SORT_MAX_N + rng.randint(1, 150)
+                cases.append((n, rng.randint(1, 60), order_index(alpha, n), 60))
+            for n, m, k, runs in cases:
+                config = SimConfig(n=n, m=m, alpha_target=0.1, delta=0.1, runs=runs,
+                                   seed=rng.randrange(2**64), score_model=score_model)
+                for ks in ((k, k, n + 1), (n + 1, k, n + 1, k), (n + 1, n + 1)):
+                    assert np.array_equal(
+                        _count_runs(config, ks, 17, runs), self.per_run_loop(config, ks, 17, runs)
+                    ), (config, ks)
 
     def test_keys_count_as_float_scores_on_tied_words(self, monkeypatch):
         # the stream replaced by words drawn from a few values around 2**52
@@ -474,24 +496,30 @@ class TestStreams:
         # integer keys must equal those of the float scores
         import ssbc.mc
 
-        n, m, runs = 4, 5, 3000
         values = np.array([0, 1, 2**51, 2**52 - 2, 2**52 - 1, 2**52, 2**52 + 1, 2**52 + 2,
                            3 * 2**51, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
-        table = np.random.default_rng(1415).choice(values, runs * (n + m))
+        table = np.random.default_rng(1415).choice(values, 3000 * 9)
 
         def tied_words(seed, counter, state, bits):
             state[:] = table[counter : counter + len(state)]
 
         monkeypatch.setattr(ssbc.mc, "_words", tied_words)
-        ks = (1, 2, 3, 4)
-        for score_model, to_scores in SCORES.items():
-            config = SimConfig(n=n, m=m, alpha_target=0.1, delta=0.1, runs=runs, seed=0,
-                               score_model=score_model)
-            draws = to_scores(table).reshape(runs, n + m)
-            calibration = np.sort(draws[:, :n], axis=1)
-            covered = [(draws[:, n:] <= calibration[:, [k - 1]]).sum(axis=1) for k in ks]
-            expected = [np.bincount(c, minlength=m + 1) for c in covered]
-            assert np.array_equal(_count_runs(config, ks, 0, runs), expected), score_model
+        # rows of 4, and rows above the full-sort length with three orders
+        # near the top and near the bottom
+        n = _SORT_MAX_N + 44
+        cases = [(4, 5, (1, 2, 3, 4))]
+        cases += [(n, 5, self.clustered_orders(random.Random(alpha), n, alpha, 3))
+                  for alpha in (0.1, 0.9)]
+        for n, m, ks in cases:
+            runs = len(table) // (n + m)
+            for score_model, to_scores in SCORES.items():
+                config = SimConfig(n=n, m=m, alpha_target=0.1, delta=0.1, runs=runs, seed=0,
+                                   score_model=score_model)
+                draws = to_scores(table[: runs * (n + m)]).reshape(runs, n + m)
+                calibration = np.sort(draws[:, :n], axis=1)
+                covered = [(draws[:, n:] <= calibration[:, [k - 1]]).sum(axis=1) for k in ks]
+                expected = [np.bincount(c, minlength=m + 1) for c in covered]
+                assert np.array_equal(_count_runs(config, ks, 0, runs), expected), (n, score_model)
 
     @pytest.mark.parametrize("score_model", SCORES)
     def test_any_partition_sums_to_the_whole(self, score_model):
