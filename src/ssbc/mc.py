@@ -43,9 +43,9 @@ BLOCK_DRAWS = 1 << 16
 MAX_SIM_DRAWS = 10**10
 # Longest calibration row that _count_runs sorts whole; a longer row is
 # partitioned at one order index and only the side beyond it is sorted, if
-# that side is at most a third of the row.  numpy 2.4.6 sorts an int64 row
-# of at most 256 keys in one sorting network (AVX-512 here).  Per block of
-# 2**16 draws, m = n, order indices near 0.9n, 2-vCPU Xeon, sort against
+# that side is at most a third of the row.  On an AVX-512 CPU numpy 2.4.6
+# sorts an int64 row of at most 256 keys in one sorting network.  Per block
+# of 2**16 draws, m = n, order indices near 0.9n, 2-vCPU Xeon, sort against
 # select: n = 256 89 / 114 us, n = 257 151 / 95 us, n = 1000 142 / 57 us;
 # at n = 300 with the side beyond half the row 162 / 182 us, a third 165 / 127 us.
 _SORT_MAX_N = 256
@@ -160,12 +160,9 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
     score of the block in one array operation, and counted in one more; a
     method whose k is n + 1 covers every window, so its runs need no draws.
 
-    Only the calibration keys at the distinct order indices are read.  A
-    row of at most ``_SORT_MAX_N`` keys is sorted whole; a longer one is
-    partitioned at its lowest (or highest) order index and only the side
-    beyond it sorted, when that side is at most a third of the row.  Either
-    way every order statistic the comparisons read is in place, ties
-    included.
+    Only the calibration keys at those order indices are read, so a row is
+    sorted whole, or partitioned at one of them and sorted only beyond it
+    (see ``_SORT_MAX_N``); either way they are in place, ties included.
 
     Coverage depends only on how the scores order, so every model orders and
     compares integer keys that order as its scores do, ties included:
@@ -209,7 +206,6 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
     covered = np.empty((rows, len(orders)), dtype=np.min_scalar_type(counts.size))
     offsets = np.arange(len(orders), dtype=covered.dtype) * (m + 1)
     columns = np.array(orders) - 1
-    # sort the whole row, or partition it at kth and sort the side beyond
     first, last = columns[0], columns[-1]
     kth, side = None, slice(None)
     if n > _SORT_MAX_N and 3 * min(n - first, last + 1) <= n:

@@ -16,8 +16,8 @@ from ssbc.mc import (
     BLOCK_DRAWS,
     MAX_SIM_DRAWS,
     MethodReport,
-    _SORT_MAX_N,
     SimConfig,
+    _SORT_MAX_N,
     _count_runs,
     _words,
     run_simulation,
