@@ -95,6 +95,13 @@ ARGVS = [
     f"{_SIMULATE_LARGE} --alpha 0.1 --score-model uniform",
     f"{_SIMULATE_LARGE} --alpha 0.9",
     f"{_SIMULATE_LARGE} --alpha 0.1 --format csv",
+    # simulate: worker counts above the CPU count and the run count, and
+    # every method skipped with more than one worker
+    f"{_SIMULATE} --methods none,ssbc,dkwm --workers 3",
+    f"{_SIMULATE_LARGE} --alpha 0.1 --workers 64",
+    "simulate --n 15 --m 20 --alpha 0.25 --delta 0.2 --runs 300 --seed 9 --workers 500",
+    "simulate --n 5 --m 20 --alpha 0.05 --delta 0.05 --runs 200 --seed 9 --methods ssbc,dkwm "
+    "--workers 2",
     "simulate --help",
     # the top level
     "--help",
