@@ -253,14 +253,15 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
     """Execute the experiment and summarize per-method violation rates,
     coverage histograms, and theory overlays.
 
-    ``workers`` splits the runs into min(workers, runs) disjoint ranges,
-    counted by a thread pool of at most one thread per CPU the process may
-    run on (``os.sched_getaffinity``, else ``os.cpu_count()``).  Each thread
-    counts its range a block of ``BLOCK_DRAWS`` draws at a time, in 15 to 18
-    array operations per block, and numpy releases the interpreter lock
-    inside them; the result does not depend on the worker count.  The
-    abs_normal and abs_cauchy models count on the same integer keys, so
-    their reports differ only in the echoed ``score_model``.
+    The runs are split into ``min(workers, usable CPUs, runs)`` contiguous
+    ranges, one per thread, where the usable CPUs are those the process may
+    run on (``os.sched_getaffinity``, else ``os.cpu_count()``): ``workers``
+    only caps the threads.  Each thread counts its range a block of
+    ``BLOCK_DRAWS`` draws at a time, in 15 to 18 array operations per block,
+    and numpy releases the interpreter lock inside them; the result does not
+    depend on the split.  The abs_normal and abs_cauchy models count on the
+    same integer keys, so their reports differ only in the echoed
+    ``score_model``.
     """
     check_int("workers", workers)
     # Each method's adjusted level; an infeasible adjuster marks its method
@@ -281,23 +282,19 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
     active = [i for i, report in enumerate(reports) if not report.skipped]
     ks = tuple(_order_index(config, reports[i]) for i in active)
 
-    total = np.zeros((len(ks), config.m + 1), dtype=np.int64)
-    if ks:
-        if workers == 1:
-            total = _count_runs(config, ks, 0, config.runs)
-        else:
-            # Imported here: one worker needs no pool.
-            from concurrent.futures import ThreadPoolExecutor
+    runs = config.runs
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = min(workers, cpus or 1, runs)
+    if threads == 1:
+        total = _count_runs(config, ks, 0, runs)
+    else:
+        # Imported here: one thread needs no pool.
+        from concurrent.futures import ThreadPoolExecutor
 
-            # More ranges than runs would only add empty ones.
-            bounds = np.linspace(0, config.runs, min(workers, config.runs) + 1).astype(int)
-            chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
-            threads = min(cpus or os.cpu_count() or 1, len(chunks))
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(_count_runs, config, ks, lo, hi) for lo, hi in chunks]
-                for future in futures:
-                    total += future.result()
+        bounds = [runs * i // threads for i in range(threads + 1)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            total = sum(pool.map(lambda lo, hi: _count_runs(config, ks, lo, hi),
+                                 bounds, bounds[1:]))
 
     x_star = window_threshold(config.alpha_target, config.m)
     for i, hist in zip(active, total):

@@ -113,13 +113,15 @@ class TestRunSimulation:
         second = run_simulation(config)
         assert first == second
 
-    def test_worker_count_does_not_change_report(self):
+    def test_worker_count_does_not_change_report(self, monkeypatch):
+        # with 64 usable CPUs each worker count is a thread count, so the
+        # runs split unevenly (3 and 7) and into ranges of 4 or 5 (64 threads)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         for score_model in ("abs_cauchy", "abs_normal", "uniform"):
             config = SimConfig(n=15, m=20, alpha_target=0.25, delta=0.2, runs=300, seed=5,
                                score_model=score_model, methods=("none", "ssbc", "dkwm"))
             solo = run_simulation(config, workers=1)
             solo_json = canonical_json(solo.to_dict())
-            # more workers than runs leaves one run per range
             for workers in (2, 3, 7, config.runs + 5):
                 multi = run_simulation(config, workers=workers)
                 assert solo == multi, (score_model, workers)
@@ -176,6 +178,16 @@ class TestRunSimulation:
         assert method_report(report, "ssbc").skipped
         assert method_report(report, "dkwm").skipped
         assert method_report(report, "ssbc").note
+
+    def test_every_method_skipped_with_many_workers(self):
+        # with no active method the runs need no draws, however they split
+        config = SimConfig(n=5, m=20, alpha_target=0.05, delta=0.05, runs=200, seed=9,
+                           methods=("ssbc", "dkwm"))
+        solo = run_simulation(config, workers=1)
+        assert all(method.skipped for method in solo.methods)
+        assert solo.runs_completed == config.runs
+        for workers in (2, 64, config.runs + 5):
+            assert run_simulation(config, workers=workers) == solo, workers
 
     def test_rank_invariance_across_score_models(self):
         # coverage depends only on ranks, so continuous models must agree
@@ -243,28 +255,31 @@ class TestRunSimulation:
             def __exit__(self, *exc_info):
                 return False
 
-            def submit(self, fn, config, ks, lo, hi):
-                submitted.append((lo, hi))
-                future = concurrent.futures.Future()
-                future.set_result(fn(config, ks, lo, hi))
-                return future
+            def map(self, fn, starts, stops):
+                ranges = list(zip(starts, stops))
+                submitted.extend(ranges)
+                return [fn(lo, hi) for lo, hi in ranges]
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         config = SimConfig(n=10, m=10, alpha_target=0.3, delta=0.3, runs=60, seed=8)
         baseline = run_simulation(config, workers=1)
+        # one range per thread: min(workers, usable CPUs, runs) of each
         cases = [
-            # (usable CPUs, workers, pool size, ranges submitted)
-            (2, 3, 2, [(0, 20), (20, 40), (40, 60)]),
-            (2, 10_000, 2, [(r, r + 1) for r in range(60)]),
+            # (usable CPUs, workers, pool size, ranges counted)
+            (2, 3, 2, [(0, 30), (30, 60)]),
+            (2, 10_000, 2, [(0, 30), (30, 60)]),
             (16, 4, 4, [(0, 15), (15, 30), (30, 45), (45, 60)]),
-            (None, 2, 1, [(0, 30), (30, 60)]),
+            (16, 7, 7, [(0, 8), (8, 17), (17, 25), (25, 34), (34, 42), (42, 51), (51, 60)]),
+            (64, 10_000, 60, [(r, r + 1) for r in range(60)]),
+            # no CPU count: one thread, counted without a pool
+            (None, 2, None, []),
         ]
 
         def check(workers, pool_size, ranges):
             requested.clear()
             submitted.clear()
             assert run_simulation(config, workers=workers) == baseline
-            assert requested == [pool_size]
+            assert requested == ([] if pool_size is None else [pool_size])
             assert submitted == ranges
 
         # the CPUs the process may run on bound the pool, not the host's
@@ -536,6 +551,16 @@ class TestStreams:
             bounds = [start, *cuts, stop]
             parts = sum(_count_runs(config, ks, lo, hi) for lo, hi in zip(bounds, bounds[1:]))
             assert np.array_equal(_count_runs(config, ks, start, stop), parts), (config, bounds)
+
+    @pytest.mark.parametrize("n, m", [(15, 20), (300, 40)])
+    def test_one_run_ranges_sum_to_the_whole(self, n, m):
+        # the finest split, one range per run, with rows sorted whole (n = 15)
+        # and partitioned near the top (n = 300, above _SORT_MAX_N)
+        runs = 150
+        config = SimConfig(n=n, m=m, alpha_target=0.1, delta=0.1, runs=runs, seed=77)
+        ks = (n - n // 10, n, n + 1)
+        parts = sum(_count_runs(config, ks, r, r + 1) for r in range(runs))
+        assert np.array_equal(_count_runs(config, ks, 0, runs), parts)
 
     @pytest.mark.parametrize("n, m", [(40, 61), (25, 75)])
     def test_abs_models_differ_only_in_the_echoed_model(self, n, m):
