@@ -20,15 +20,11 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad flags; remap to the usage code."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _render_human(data, indent: int = 0) -> list[str]:
@@ -48,8 +44,6 @@ def _render_human(data, indent: int = 0) -> list[str]:
                 lines.append("")
             else:
                 lines.append(f"{pad}- {_scalar(value)}")
-    else:
-        lines.append(f"{pad}{_scalar(data)}")
     return lines
 
 
@@ -66,20 +60,16 @@ def _regime_from_flags(args):
 
     if args.regime == "window":
         if args.m is None:
-            raise _UsageError("--m is required when --regime window")
+            raise ValueError("--m is required when --regime window")
         return CoverageRegime.window(args.m)
     if args.m is not None:
-        raise _UsageError("--m is only valid with --regime window")
+        raise ValueError("--m is only valid with --regime window")
     return CoverageRegime.infinite()
 
 
 def _csv(header: str, rows) -> str:
-    """A table as CSV, each cell as :func:`_scalar` writes a value that is
-    not None: a float by format_float, anything else by str."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join([format_float(x) if type(x) is float else str(x) for x in row]))
-    return "\n".join(lines)
+    """A table as CSV, each cell as :func:`_scalar` writes it."""
+    return "\n".join([header, *(",".join(map(_scalar, row)) for row in rows)])
 
 
 def _record(cls, args, **given):
@@ -93,7 +83,7 @@ def _cmd_adjust(args):
 
     ctx = _record(CalibrationContext, args)
     if args.method == "dkwm" and args.regime == "window":
-        raise _UsageError("the dkwm method has no finite-window variant")
+        raise ValueError("the dkwm method has no finite-window variant")
     regime = _regime_from_flags(args)
     report = ssbc_adjust(ctx, regime) if args.method == "ssbc" else dkwm_adjust(ctx)
     return report.to_dict(), report.feasible
@@ -162,8 +152,8 @@ _FLAGS = {
                         help="nonconformity scores of uniforms U: |tan(pi (U - 1/2))|, "
                         "|Phi^-1(U)| or U; coverage depends only on their order, so "
                         "abs_cauchy and abs_normal give the same counts"),
-    "workers": dict(type=int, default=1, help="run ranges to split the work into, counted by at "
-                    "most one thread per CPU (default 1); does not affect results"),
+    "workers": dict(type=int, default=1, help="most threads to count the runs on, at most one "
+                    "per usable CPU (default 1); does not affect results"),
 }
 
 # name: (handler, help, flags in order, output formats with the default first)
@@ -217,7 +207,7 @@ def main(argv=None) -> int:
         # that the flush at exit does not fail again, and end quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except (_UsageError, ValueError, OverflowError, MemoryError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         # OverflowError: an input, or a value derived from it, beyond a double.
         # MemoryError: arrays sized from the inputs (simulate's draws) that
         # cannot be allocated; the request fails before it touches memory.
