@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,10 @@ from hypothesis import strategies as st
 from ssbc.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser, main
 from ssbc.serialize import canonical_json
 
-from oracles import bb_window_tail
+from oracles import (
+    bb_pmf, bb_rung_count_tail, bb_window_tail, binom_rung_tail, error_cap, ssbc_scan_infinite,
+    window_threshold_count
+)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -601,6 +605,120 @@ class TestGoldenExamples:
         code, out, _ = run_cli(capsys, *example["argv"])
         assert code == example["exit"]
         assert out.encode() == (GOLDEN / example["file"]).read_bytes()
+
+
+def rounded(value) -> str:
+    """An exact value (a Fraction, a float, or an mpmath number) as
+    format_float prints a float that lies that close to it: rounded to 12
+    significant digits, then ``.12g`` of the float, so trailing zeros drop."""
+    if isinstance(value, (Fraction, float)):
+        value = Fraction(value)
+        value = Context(prec=40).divide(value.numerator, value.denominator)
+    else:
+        import mpmath
+
+        value = Decimal(mpmath.nstr(value, 40))
+    return format(float(format(value, ".12g")), ".12g")
+
+
+class TestGoldenAudit:
+    """Every number in the golden files is its exact value rounded as the
+    package prints it.  The exact values come from routes that share no code
+    with the package: the rationals of ``oracles`` and, for the
+    transcendental ones, 40-digit mpmath.  One printed digit is a known
+    erratum, asserted as such: the window example's ``achieved_tail``."""
+
+    # file: (golden token, exact rounding) of each known erratum
+    ERRATA = {"adjust_window.out": {"achieved_tail": ("0.952836791985", "0.952836791986")}}
+
+    @staticmethod
+    def grid_top(alpha, n):
+        """The highest rung u with u/(n+1) below the decimal alpha."""
+        return math.ceil(Fraction(repr(alpha)) * (n + 1)) - 1
+
+    @staticmethod
+    def adjustment(u, n, tail, method, inputs, **extra):
+        """An adjust report's fields at rung u, ``extra`` added or replacing."""
+        return {"feasible": True, "alpha_adj": Fraction(u, n + 1), "u_star": u,
+                "achieved_tail": tail, "achieved_violation": 1 - tail, "method": method,
+                "inputs": inputs, **extra}
+
+    def exact_adjust_inf(self):
+        n, alpha, delta = 25, 0.5, 0.1
+        u, tail = ssbc_scan_infinite(n, alpha, delta)
+        assert tail == binom_rung_tail(n, u, alpha)
+        return self.adjustment(u, n, tail, "ssbc", {"n": n, "alpha_target": alpha,
+                                                    "delta": delta, "regime": "infinite"})
+
+    def exact_adjust_window(self):
+        n, alpha, delta, m = 50, 0.1, 0.1, 100
+        x_star = m - error_cap(alpha, m)
+        tails = {u: bb_window_tail(x_star, m, n, u) for u in range(1, self.grid_top(alpha, n) + 1)}
+        u = max(u for u, tail in tails.items() if tail >= 1 - Fraction(repr(delta)))
+        assert tails[u] == bb_rung_count_tail(x_star, m, n, u)
+        return self.adjustment(u, n, tails[u], "ssbc", {"n": n, "alpha_target": alpha,
+                                                        "delta": delta, "regime": "window", "m": m})
+
+    def exact_adjust_dkwm(self):
+        mpmath = pytest.importorskip("mpmath")
+        n, alpha, delta = 25, 0.5, 0.1
+        with mpmath.workdps(40):
+            eps = mpmath.sqrt(mpmath.log(1 / mpmath.mpf(delta)) / (2 * n))
+            alpha_adj = alpha - eps
+            u = int(mpmath.floor((n + 1) * alpha_adj))
+        return self.adjustment(u, n, binom_rung_tail(n, u, alpha), "dkwm",
+                               {"n": n, "alpha_target": alpha, "delta": delta,
+                                "regime": "infinite"}, alpha_adj=alpha_adj, epsilon=eps)
+
+    def exact_feasible_m(self):
+        mpmath = pytest.importorskip("mpmath")
+        n, delta, m = 50, 0.1, 100
+        with mpmath.workdps(40):
+            a = 1 - mpmath.mpf(delta) ** (mpmath.mpf(1) / n)
+            laplace = a + mpmath.sqrt(a * (1 - a) / (2 * mpmath.pi * m))
+        delta_max = Fraction(n, n + 1) ** n
+        return {"n": n, "delta": delta, "alpha_star_inf": a, "delta_max_grid": delta_max,
+                "implementable": Fraction(delta) <= delta_max, "m": m,
+                "alpha_star_m": Fraction(m - window_threshold_count(n, delta, m), m),
+                "alpha_star_m_laplace": laplace}
+
+    def exact_mondrian(self):
+        k, k_j, n_j, m, alpha, delta = 40, 12, 30, 12, 0.2, 0.15
+        # the count law times each count's window tail at calibration size n_j - 1
+        success = {u: sum(bb_pmf(r, m, k_j, k - k_j)
+                          * bb_window_tail(r - error_cap(alpha, r), r, n_j - 1, u)
+                          for r in range(m + 1))
+                   for u in range(1, min(self.grid_top(alpha, n_j), n_j - 1) + 1)}
+        u = max(u for u, tail in success.items() if tail >= 1 - Fraction(repr(delta)))
+        return self.adjustment(u, n_j, success[u], "ssbc", {
+            "n": n_j, "alpha_target": alpha, "delta": delta, "regime": "window", "m": m,
+            "k": k, "k_j": k_j, "n_j": n_j})
+
+    @pytest.mark.parametrize("name", ["adjust_inf", "adjust_window", "adjust_dkwm", "feasible_m",
+                                      "mondrian"])
+    def test_json_output(self, name):
+        file = f"{name}.out"
+        # each float as its printed token; the echoed inputs beside the results
+        golden = json.loads((GOLDEN / file).read_text(), parse_float=str)
+        exact = getattr(self, f"exact_{name}")()
+        golden |= golden.pop("inputs", {})
+        exact |= exact.pop("inputs", {})
+        errata = self.ERRATA.get(file, {})
+        assert golden.keys() == exact.keys()
+        for key, value in exact.items():
+            if isinstance(value, (bool, int, str)):
+                assert golden[key] == value, key
+            elif key in errata:
+                assert (golden[key], rounded(value)) == errata[key], key
+            else:
+                assert golden[key] == rounded(value), key
+
+    def test_rungs_csv(self):
+        n, alpha = 50, 0.1
+        header, *rows = (GOLDEN / "rungs_csv.out").read_text().splitlines()
+        assert header == "u,alpha_prime,attainable_delta"
+        assert rows == [f"{u},{rounded(Fraction(u, n + 1))},"
+                        f"{rounded(1 - binom_rung_tail(n, u, alpha))}" for u in range(1, n + 1)]
 
 
 class TestByteCorpus:

@@ -4,7 +4,9 @@ Where two subcommands evaluate one law by different code, their answers
 must agree: ``rungs`` and ``adjust`` (both regimes), ``adjust --method
 dkwm`` and ``rungs``, ``feasible --m`` and rung 1 of the window law,
 ``simulate``'s theory rate and ``adjust``'s window violation, and
-``adjust`` at a one-score window and the rung floor(delta (n+1)).  Each check
+``adjust`` at a one-score window and the rung floor(delta (n+1)), and
+``mondrian``'s success at the two prevalence limits k_j = 0 and k_j = k
+against 1 and the window law.  Each check
 runs seeded log-uniform draws with delta in [1e-6, 0.9], through the
 functions the subcommands call.
 """
@@ -21,6 +23,7 @@ from ssbc.adjust import dkwm_adjust, ssbc_adjust
 from ssbc.coverage import CalibrationContext, CoverageRegime, tail_prob, window_threshold
 from ssbc.feasibility import feasibility_report, rung_table
 from ssbc.mc import SimConfig, run_simulation
+from ssbc.mondrian import MondrianSpec, budget_success_prob
 
 
 def log_uniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -142,3 +145,22 @@ def test_one_score_window_rung_is_delta_times_n_plus_one():
         assert (report.u_star if report.feasible else 0) == expected, (n, alpha, d)
         answered += expected > 0
     assert answered >= 600
+
+
+def test_mondrian_budget_at_the_two_prevalence_limits():
+    # With k_j = 0 every window holds no class-j item, so it always meets its
+    # budget; with k_j = k every window is all class j, so the success is the
+    # window tail at calibration size n_j - 1.  Both hold bit for bit.
+    rng = random.Random("mondrian-limits")
+    checked = 0
+    for _ in range(200):
+        k, n_j = int(log_uniform(rng, 1, 1e4)), int(log_uniform(rng, 2, 500))
+        m, alpha, d = int(log_uniform(rng, 1, 300)), level(rng, 1e-3, 0.9), delta(rng)
+        window = CoverageRegime.window(m)
+        for u in range(1, n_j):
+            case = (k, n_j, m, alpha, u)
+            assert budget_success_prob(MondrianSpec(k, 0, n_j, m, alpha, d), u) == 1.0, case
+            assert (budget_success_prob(MondrianSpec(k, k, n_j, m, alpha, d), u)
+                    == tail_prob(n_j - 1, u, window, alpha)), case
+            checked += 1
+    assert checked >= 5000
