@@ -211,6 +211,24 @@ class TestBetaSurvivalAgainstMpmath:
                 assert abs(reg_inc_beta(x, k + 1, n - k) - (1 - want)) <= 1e-13, (n, x, k)
 
 
+class TestBetaSurvivalFarTails:
+    @pytest.mark.parametrize("x", [0.1, 0.3])
+    def test_lower_tail_at_minus_6_sd_keeps_its_relative_accuracy(self, x):
+        # Each side of the walk stops at 2**-60 of the mode term, about 9.1 sd
+        # out, so Pr(V <= k) at -6 sd (~1e-9) keeps ~10 correct digits, and
+        # the central values stay within the contract.
+        pytest.importorskip("mpmath")
+        n = 10**6
+        mean, sd = n * x, math.sqrt(n * x * (1 - x))
+        ks = [round(mean + z * sd) for z in (-6, -3, -1, 0, 1, 3, 6)]
+        far, *central = zip(ks, binom_cdf_mp(n, x, ks, digits=40))
+        k, want = far
+        assert abs(beta_survival(x, k + 1, n - k) - want) <= 1e-9 * want, (x, k)
+        for k, want in central:
+            assert abs(beta_survival(x, k + 1, n - k) - want) <= contract(n), (x, k)
+            assert abs(reg_inc_beta(x, k + 1, n - k) - (1 - want)) <= contract(n), (x, k)
+
+
 class TestBinomialWalkCap:
     def test_too_wide_laws_are_refused_before_walking(self):
         # variance N x (1 - x) above 2**34: refused at once, whatever N is
