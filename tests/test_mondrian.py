@@ -7,7 +7,9 @@ import pytest
 
 from ssbc.adjust import ssbc_adjust
 from ssbc.coverage import CalibrationContext, CoverageRegime, window_threshold
+from ssbc.mc import _words
 from ssbc.mondrian import MondrianSpec, budget_success_prob, class_count_predictive, ssbc_mondrian
+from ssbc.specfun import beta_survival
 
 from oracles import (
     DegenerateRungError,
@@ -16,6 +18,7 @@ from oracles import (
     error_cap,
     error_count_conditional,
     joint_predictive,
+    stream_uniform,
 )
 
 
@@ -356,3 +359,68 @@ class TestSsbcMondrian:
             MondrianSpec(k=10, k_j=5, n_j=0, m=3, alpha_target=0.1, delta=0.1)
         with pytest.raises(ValueError):
             MondrianSpec(k=10, k_j=5, n_j=5, m=3, alpha_target=1.1, delta=0.1)
+
+
+def realized_successes(spec: MondrianSpec, u: int, draws: int, seed: int,
+                       prevalence: float | None = None) -> int:
+    """Windows, of ``draws``, that stay within their error budget when
+    class-j scores are thresholded at the real order statistic of rung u.
+
+    Draw i takes a prevalence p ~ Beta(k_j, k - k_j) (or the fixed
+    ``prevalence``) and a class count r ~ Bin(m, p) from numpy's generator
+    at ``seed``, and its scores from the counter stream of ``simulate``:
+    the words at counters i (n_j + m) .. i (n_j + m) + n_j + m - 1, the first
+    n_j the calibration scores and the next r the window's.  The threshold
+    is the (n_j + 1 - u)-th smallest calibration score; a window score at
+    most the threshold is covered, and the window succeeds when at least
+    ``window_threshold(alpha, r)`` of its r scores are (r = 0 always does).
+    No miscoverage is drawn from a Beta law."""
+    n_j, m = spec.n_j, spec.m
+    rng = np.random.default_rng(seed)
+    p = (rng.beta(spec.k_j, spec.k - spec.k_j, draws) if prevalence is None
+         else np.full(draws, prevalence))
+    counts = rng.binomial(m, p)
+    need = np.array([0] + [window_threshold(spec.alpha_target, r) for r in range(1, m + 1)])
+    width, k = n_j + m, n_j + 1 - u
+    rows = max(1, 2**16 // width)
+    words = np.empty(rows * width, dtype=np.uint64)
+    bits = np.empty_like(words)
+    successes = 0
+    for lo in range(0, draws, rows):
+        r = counts[lo : lo + rows]
+        block = words[: len(r) * width]
+        _words(seed, lo * width, block, bits[: len(block)])
+        keys = block.reshape(len(r), width)
+        threshold = np.partition(keys[:, :n_j], k - 1, axis=1)[:, k - 1 : k]
+        in_window = np.arange(m) < r[:, None]
+        covered = ((keys[:, n_j:] <= threshold) & in_window).sum(axis=1)
+        successes += int((covered >= need[r]).sum())
+    return successes
+
+
+class TestPromiseBySimulation:
+    # The printed success must not exceed the realized one by more than
+    # chance allows: with S successes in R draws, Pr(Bin(R, printed) <= S)
+    # must exceed FALSE_ALARM.  That is the binomial law's own margin, about
+    # 4.9 standard errors (0.005 at R = 100,000), not a normal approximation.
+    # The binomial tail is the package's beta_survival, which test_specfun
+    # checks within 1e-15 of exact sums, far below FALSE_ALARM.
+    FALSE_ALARM = 1e-6
+    DRAWS = 100_000
+    SPECS = [(40, 12, 30, 12, 0.2, 0.15), (1000, 300, 100, 200, 0.3, 0.1),
+             (20, 3, 15, 40, 0.25, 0.1)]
+
+    def test_words_are_the_counter_stream(self):
+        words = np.empty(6, dtype=np.uint64)
+        _words(7, 1000, words, np.empty_like(words))
+        assert [int(v) * 2.0**-53 for v in words] == [stream_uniform(7, 1000 + i)
+                                                      for i in range(6)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: "-".join(map(str, s)))
+    def test_realized_success_meets_the_printed_one(self, spec):
+        spec = MondrianSpec(*spec)
+        report = ssbc_mondrian(spec)
+        printed = report.achieved_tail
+        wins = realized_successes(spec, report.u_star, self.DRAWS, seed=spec.k_j)
+        p_value = beta_survival(printed, wins + 1, self.DRAWS - wins) if wins < self.DRAWS else 1.0
+        assert p_value > self.FALSE_ALARM, (wins / self.DRAWS, printed)
