@@ -54,7 +54,7 @@ class Domain:
 
 TIER1 = Domain(size=3000, delta_min=1e-6, digits=3, fixed_digits=True)
 WIDE = Domain(size=10**9, delta_min=1e-300, digits=9)
-# ROADMAP item 17's measurement of the alpha relation at small delta.
+# Where the alpha relation was seen to break at small delta (ROADMAP item 17).
 SMALL_DELTA = Domain(size=5000, delta_min=1e-40, digits=3, fixed_digits=True)
 
 
@@ -201,6 +201,7 @@ def budget_monotone(rng: random.Random, domain: Domain):
     alpha, d = level(rng, domain), delta(rng, domain)
     k_j = rng.randint(0, k)
     u_hi = min(highest_grid_index_below(alpha, n_j), n_j - 1)
+    # two rungs' terms, each bounded as ssbc_mondrian bounds one rung's
     if u_hi < 2 or 2 * (2 * m + 1 + min(alpha, 1 - alpha) * m * (m + 1) / 2) > MAX_REQUEST_TERMS:
         return None
     spec = MondrianSpec(k, k_j, n_j, m, alpha, d)
@@ -246,11 +247,8 @@ def main(argv=None) -> None:
     while time.monotonic() < end:
         for name, relation in relations.items():
             answered, checks, broken = run(relation, WIDE, rngs[name], 1)
-            tally = tallies[name]
-            tally[0] += 1
-            tally[1] += answered
-            tally[2] += checks
-            tally[3] += len(broken)
+            counts = (1, answered, checks, len(broken))
+            tallies[name] = [total + count for total, count in zip(tallies[name], counts)]
             for line in broken:
                 print(f"{name}: {line}", flush=True)
     for name, (drawn, answered, checks, broken) in tallies.items():
