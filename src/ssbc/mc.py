@@ -241,11 +241,9 @@ def _order_index(config: SimConfig, method: MethodReport) -> int:
 
 def theory_overlay(config: SimConfig, method: MethodReport) -> tuple[float, ...]:
     """Coverage pmf over {0..m}/m of a method of a run of config:
-    Beta-Binomial(m; k, n+1-k) at the order index k it thresholds at,
-    collapsing to a point mass at full coverage when k = n+1."""
+    Beta-Binomial(m; k, n+1-k) at the order index k it thresholds at, a
+    point mass at full coverage when k = n+1."""
     k = _order_index(config, method)
-    if k > config.n:
-        return (0.0,) * config.m + (1.0,)
     return tuple(betabinom_pmf_vector(config.m, k, config.n + 1 - k))
 
 

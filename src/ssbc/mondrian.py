@@ -46,16 +46,10 @@ class MondrianSpec(Record):
 
 
 def class_count_predictive(spec: MondrianSpec) -> list[float]:
-    """Predictive pmf of the class-j count over r = 0..m.
-
-    Beta-Binomial(m; k_j, k-k_j) in the interior; a point mass at 0 or m
-    when the training sample is all-other or all-class-j.
-    """
-    if 0 < spec.k_j < spec.k:
-        return betabinom_pmf_vector(spec.m, spec.k_j, spec.k - spec.k_j)
-    counts = [0.0] * (spec.m + 1)
-    counts[0 if spec.k_j == 0 else spec.m] = 1.0
-    return counts
+    """Predictive pmf of the class-j count over r = 0..m:
+    Beta-Binomial(m; k_j, k-k_j), whose limit is a point mass at 0 or m
+    when the training sample is all-other or all-class-j."""
+    return betabinom_pmf_vector(spec.m, spec.k_j, spec.k - spec.k_j)
 
 
 def budget_success_prob(spec: MondrianSpec, u: int) -> float:

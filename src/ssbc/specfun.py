@@ -22,8 +22,9 @@ summed on the shorter side of its threshold, of at most MAX_WINDOW_TERMS terms.
 Every function takes the law's parameters as plain numbers, in the order
 scipy.stats uses: the point, then the trial count m of a Beta-Binomial, then
 the shapes a and b.  The Beta kernels check them in :func:`_inc_beta_pair`,
-the Beta-Binomial kernels with :func:`_check_law`, once per call; the term
-routine and :func:`_log_beta`, which it calls per term, check nothing.
+the lgamma Beta-Binomial kernels with :func:`_check_law`, and
+:func:`betabinom_pmf_vector`, which also takes one zero shape, on its own,
+once per call; the term routine and :func:`_log_beta` check nothing.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ def _binomial_walk(N: int, x: float) -> tuple[int, array, array]:
     mode by p(v+1)/p(v) = (N-v) M / ((v+1) Q) and p(v-1)/p(v) =
     v Q / ((N-v+1) M), each one correctly rounded quotient of exact
     integers, so no rounding repeats from step to step.  Each side stops
-    where a term falls below _WALK_CUTOFF of the mode term.
+    where a term falls below _WALK_CUTOFF of the mode term; at x = 0 or 1
+    its first step away from the mode is 0, which leaves the point mass.
     """
     M, D = x.as_integer_ratio()
     Q = D - M
@@ -121,8 +123,6 @@ def _binomial_walk(N: int, x: float) -> tuple[int, array, array]:
         raise ValueError(f"Bin({N}, {x!r}) is too wide to sum: its variance N x (1 - x) "
                          f"exceeds MAX_WALK_VARIANCE = {MAX_WALK_VARIANCE}")
     mode = min(N, (N + 1) * M // D)
-    if M == 0 or Q == 0:  # x = 0 or 1: a point mass
-        return mode, array("d", [1.0]), array("d", [1.0])
     steps_up = map(truediv, map(mul, range(N - mode, 0, -1), repeat(M)),
                    map(mul, range(mode + 1, N + 1), repeat(Q)))
     steps_down = map(truediv, map(mul, range(mode, 0, -1), repeat(Q)),
@@ -184,8 +184,11 @@ def betabinom_pmf_vector(m: int, a: float, b: float) -> list[float]:
     if a + b > 2, else the larger end.  With a = A/D and b = B/D, a step up multiplies by
     p(r+1)/p(r) = (m-r)(r D + A) / ((r+1)((m-r-1) D + B)), a correctly rounded quotient of
     exact integers; below the mode the walk steps up the mirrored law Beta-Binomial(m; b, a).
-    The terms are divided by their sum, taken from the mode out."""
-    _check_law(a, b, m)
+    The terms are divided by their sum, taken from the mode out.  One shape may be 0: the
+    limit is a point mass at the mode, r = 0 if a = 0 or m if b = 0, and each first step is 0."""
+    check_int("trial count m", m)
+    if not (a >= 0 and b >= 0 and math.isfinite(a + b) and a + b > 0):
+        raise ValueError(f"Beta shapes must be finite and >= 0, not both 0, got a={a!r}, b={b!r}")
     A, Da = (a, 1) if isinstance(a, int) else float(a).as_integer_ratio()
     B, Db = (b, 1) if isinstance(b, int) else float(b).as_integer_ratio()
     A, B, D = A * Db, B * Da, Da * Db

@@ -76,6 +76,10 @@ ARGVS = [
     "mondrian --k 10 --kj 4 --nj 1 --m 5 --alpha 0.9 --delta 0.5 --format human",
     "mondrian --k 10 --kj 40 --nj 30 --m 12 --alpha 0.2 --delta 0.15",
     "mondrian --k 100000 --kj 30000 --nj 5000 --m 20000 --alpha 0.2 --delta 0.1",
+    # mondrian at the two prevalence limits, where the count law is a point mass
+    "mondrian --k 40 --kj 0 --nj 30 --m 12 --alpha 0.2 --delta 0.15",
+    "mondrian --k 40 --kj 40 --nj 30 --m 12 --alpha 0.2 --delta 0.15",
+    "mondrian --k 40 --kj 40 --nj 30 --m 12 --alpha 0.2 --delta 0.15 --format human",
     "mondrian --help",
     # simulate: every format, every score model, a skipped dkwm
     _SIMULATE,
@@ -102,6 +106,10 @@ ARGVS = [
     "simulate --n 15 --m 20 --alpha 0.25 --delta 0.2 --runs 300 --seed 9 --workers 500",
     "simulate --n 5 --m 20 --alpha 0.05 --delta 0.05 --runs 200 --seed 9 --methods ssbc,dkwm "
     "--workers 2",
+    # simulate: `none` thresholds at order index n + 1, a point-mass overlay
+    "simulate --n 3 --m 7 --alpha 0.2 --delta 0.2 --runs 200 --seed 9 --methods none,dkwm",
+    "simulate --n 3 --m 7 --alpha 0.2 --delta 0.2 --runs 200 --seed 9 --methods none,dkwm "
+    "--format csv",
     "simulate --help",
     # the top level
     "--help",

@@ -1,16 +1,18 @@
 """Reference computations for the test suite.
 
-The laws and scans use exact rational arithmetic only (``math.comb`` /
-``math.factorial`` / ``Fraction``); they never touch the package's
-log-space evaluation paths, so agreement is a genuine two-route check.
+The laws and scans use exact rational arithmetic (``math.comb`` /
+``math.factorial`` / ``Fraction``), or mpmath at a stated precision
+(:func:`binom_cdf_mp`); none calls the package's evaluation routes, so
+agreement is a genuine two-route check.
 The last part holds helpers and references that only tests need: a
 pure-Python SplitMix64, the reference for the Monte Carlo stream, and its
 inverse, which finds the counter of a given output; a
 per-method lookup in a simulation report, an exhaustive rung scan to check
 the bisecting grid search against, and the joint predictive law of the
-class-conditional budget, assembled pair by pair from the package's count
-law and its Beta-Binomial pmf (the package itself sums one window-coverage
-tail per window count).
+class-conditional budget, assembled pair by pair from the exact
+Beta-Binomial pmfs of the class count (its point masses at k_j = 0 and
+k_j = k written out) and of the error count (the package itself sums one
+window-coverage tail per window count).
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from ssbc.mondrian import MondrianSpec, class_count_predictive
-from ssbc.specfun import betabinom_pmf
+from ssbc.mondrian import MondrianSpec
 
 _JOINT_MASS_TOL = 1e-9
 
@@ -282,17 +283,15 @@ def error_cap(alpha: float, r: int) -> int:
 
 
 def error_count_conditional(e: int, r: int, s_j: int, n_j: int) -> float:
-    """Pr(e_j = e | m_j = r) = C(r,e) B(e+s_j, r-e+n_j-s_j) / B(s_j, n_j-s_j);
-    1 for the empty window r = 0."""
+    """Pr(e_j = e | m_j = r) = C(r,e) B(e+s_j, r-e+n_j-s_j) / B(s_j, n_j-s_j),
+    the exact :func:`bb_pmf` rounded once; 1 for the empty window r = 0."""
     if s_j <= 0 or s_j >= n_j:
         raise DegenerateRungError(
             f"Beta(s_j, n_j - s_j) undefined for s_j={s_j}, n_j={n_j}"
         )
     if not (0 <= e <= r):
         raise ValueError(f"need 0 <= e <= r, got e={e}, r={r}")
-    if r == 0:
-        return 1.0
-    return betabinom_pmf(e, r, float(s_j), float(n_j - s_j))
+    return float(bb_pmf(e, r, s_j, n_j - s_j))
 
 
 @dataclass(frozen=True)
@@ -319,16 +318,20 @@ class JointPredictive:
 def joint_predictive(spec: MondrianSpec, s_j: int) -> JointPredictive:
     """Joint law Pr(e_j = e, m_j = r) = Pr(m_j = r) Pr(e_j = e | m_j = r),
     with the error-rate law parameterized by the miscoverage count s_j (on
-    the grid, the rung u).  Raises RuntimeError if its mass is not 1."""
+    the grid, the rung u).  Each pair is an exact product, rounded once.
+    Raises RuntimeError if its mass is not 1."""
     if s_j <= 0 or s_j >= spec.n_j:
         raise DegenerateRungError(f"s_j={s_j} is degenerate for n_j={spec.n_j}")
-    count_pmf = class_count_predictive(spec)
-    probs = np.zeros((spec.m + 1, spec.m + 1))
-    for r in range(spec.m + 1):
-        if count_pmf[r] == 0.0:
-            continue
-        for e in range(r + 1):
-            probs[e, r] = count_pmf[r] * error_count_conditional(e, r, s_j, spec.n_j)
+    m, k, k_j = spec.m, spec.k, spec.k_j
+    if 0 < k_j < k:
+        count_pmf = [bb_pmf(r, m, k_j, k - k_j) for r in range(m + 1)]
+    else:  # all-other or all-class-j training: a point mass at 0 or m
+        count_pmf = [Fraction(r == (m if k_j else 0)) for r in range(m + 1)]
+    probs = np.zeros((m + 1, m + 1))
+    for r in range(m + 1):
+        if count_pmf[r]:
+            for e in range(r + 1):
+                probs[e, r] = count_pmf[r] * bb_pmf(e, r, s_j, spec.n_j - s_j)
     probs.flags.writeable = False
     law = JointPredictive(
         probabilities=probs,

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -23,6 +24,7 @@ from oracles import (
     bb_pmf, bb_rung_count_tail, bb_window_tail, binom_rung_tail, error_cap, ssbc_scan_infinite,
     window_threshold_count
 )
+import relations
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -48,6 +50,47 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Reads a JSON list of argvs on stdin and runs each through cli.main; prints
+# one JSON line per call: its exit code, seconds, stderr, and the scalar
+# fields of its JSON answer (parsed whenever the call answers in JSON).
+_CALL_LOOP = """
+import contextlib, io, json, sys, time
+from ssbc.cli import main
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    seconds = time.perf_counter() - start
+    answer = {}
+    if code != 1 and (argv[argv.index("--format") + 1] if "--format" in argv else "json") == "json":
+        answer = {key: value for key, value in json.loads(out.getvalue()).items()
+                  if not isinstance(value, (dict, list))}
+    print(json.dumps({"argv": argv, "code": code, "seconds": seconds,
+                      "error": err.getvalue(), "answer": answer}), flush=True)
+"""
+
+
+def run_calls(argvs: list[list[str]], seconds: float, what: str) -> list[dict]:
+    """Run each argv through ``cli.main`` in one new interpreter.  Each call
+    must answer (exit 0 or 2, with JSON that parses) or end in exit 1 with
+    ``error: `` and no traceback, within ``seconds``.  Prints the answered
+    share and returns one record per call (see ``_CALL_LOOP``)."""
+    proc = subprocess.run([sys.executable, "-c", _CALL_LOOP], input=json.dumps(argvs),
+                          env=fresh_env(), capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    calls = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [call["argv"] for call in calls] == argvs
+    for call in calls:
+        assert call["seconds"] < seconds, (call["argv"], call["seconds"])
+        assert call["code"] in (0, 1, 2), call
+        if call["code"] == 1:
+            assert call["error"].startswith("error: "), call
+    print(f"{sum(call['code'] != 1 for call in calls)} of {len(calls)} fuzzed {what} calls answered")
+    return calls
 
 
 class TestAdjustCommand:
@@ -231,28 +274,18 @@ class TestAdjustCommand:
     def test_overflow_is_an_error_not_a_traceback(self):
         # Inputs beyond the range of a double overflow inside the float
         # kernels; each call must still end with a message and exit 1.
-        proc = run_fresh("""
-            import contextlib, io, sys
-            from ssbc.cli import main
-            big, window, n20 = str(10**400), str(10**31), str(10**20)
-            argvs = [
-                ["adjust", "--n", big, "--alpha", "0.1", "--delta", "0.1", "--regime", "inf"],
-                ["feasible", "--n", big, "--delta", "0.1"],
-                ["mondrian", "--k", big, "--kj", "5", "--nj", "20", "--m", "10",
-                 "--alpha", "0.1", "--delta", "0.1"],
-                ["adjust", "--n", "50", "--alpha", "0.1", "--delta", "0.1",
-                 "--regime", "window", "--m", window],
-                ["adjust", "--n", n20, "--alpha", "0.1", "--delta", "0.1", "--regime", "inf"],
-            ]
-            for argv in argvs:
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err):
-                    code = main(argv)
-                assert code == 1, (argv[:2], code)
-                assert err.getvalue().startswith("error: "), (argv[:2], err.getvalue())
-        """)
-        assert proc.returncode == 0, proc.stderr
-        assert "Traceback" not in proc.stderr
+        big, window, n20 = str(10**400), str(10**31), str(10**20)
+        argvs = [
+            ["adjust", "--n", big, "--alpha", "0.1", "--delta", "0.1", "--regime", "inf"],
+            ["feasible", "--n", big, "--delta", "0.1"],
+            ["mondrian", "--k", big, "--kj", "5", "--nj", "20", "--m", "10",
+             "--alpha", "0.1", "--delta", "0.1"],
+            ["adjust", "--n", "50", "--alpha", "0.1", "--delta", "0.1",
+             "--regime", "window", "--m", window],
+            ["adjust", "--n", n20, "--alpha", "0.1", "--delta", "0.1", "--regime", "inf"],
+        ]
+        calls = run_calls(argvs, 10, "overflowing")
+        assert [call["code"] for call in calls] == [1] * len(argvs)
 
     def test_json_round_trip_is_byte_stable(self, capsys):
         code, out, _ = run_cli(
@@ -332,37 +365,20 @@ class TestFeasibleCommand:
         # message, within 10 s; a first product at its cap takes up to ~5.5 s
         # when its integers pass 2**53.  An m beyond a double ends in exit 1
         # through OverflowError.
-        proc = run_fresh("""
-            import contextlib, io, json, math, random, time
-            from ssbc.cli import main
-            rng = random.Random(1318)
-            argvs = [
-                ["feasible", "--n", str(int(10 ** rng.uniform(0, 18))),
-                 "--delta", repr(10 ** rng.uniform(-300, math.log10(0.999))),
-                 "--m", str(int(10 ** rng.uniform(0, 30)))]
-                for _ in range(60)
-            ]
-            argvs.append(["feasible", "--n", "50", "--delta", "0.1", "--m", str(10**400)])
-            answered = 0
-            for argv in argvs:
-                out, err = io.StringIO(), io.StringIO()
-                start = time.perf_counter()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(argv)
-                elapsed = time.perf_counter() - start
-                assert elapsed < 10, (argv, elapsed)
-                if code == 0:
-                    answered += 1
-                    assert 0.0 <= json.loads(out.getvalue())["alpha_star_m"] <= 1.0, argv
-                else:
-                    assert code == 1, (argv, code)
-                    assert err.getvalue().startswith("error: "), (argv, err.getvalue())
-            assert code == 1 and "float" in err.getvalue(), err.getvalue()
-            print(f"{answered} of {len(argvs)} fuzzed feasible calls answered")
-        """, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert "Traceback" not in proc.stderr
-        print(proc.stdout.strip())
+        rng = random.Random(1318)
+        argvs = [
+            ["feasible", "--n", str(int(10 ** rng.uniform(0, 18))),
+             "--delta", repr(10 ** rng.uniform(-300, math.log10(0.999))),
+             "--m", str(int(10 ** rng.uniform(0, 30)))]
+            for _ in range(60)
+        ]
+        argvs.append(["feasible", "--n", "50", "--delta", "0.1", "--m", str(10**400)])
+        calls = run_calls(argvs, 10, "feasible")
+        for call in calls:
+            assert call["code"] in (0, 1), call
+            if call["code"] == 0:
+                assert 0.0 <= call["answer"]["alpha_star_m"] <= 1.0, call["argv"]
+        assert calls[-1]["code"] == 1 and "float" in calls[-1]["error"], calls[-1]
 
 
 class TestInfiniteFuzz:
@@ -372,42 +388,72 @@ class TestInfiniteFuzz:
         # [1e-300, 0.999]: each call answers, or ends in exit 1 with a
         # message, within 10 s.  The tail walk refuses a law of variance
         # above 2**34, and rungs a table of more than 10**5 rows.
-        proc = run_fresh("""
-            import contextlib, io, json, math, random, time
-            from ssbc.cli import main
-            rng = random.Random(1016)
-            def level(lo):
-                return repr(10 ** rng.uniform(lo, math.log10(0.999)))
-            argvs = []
-            for _ in range(40):
-                n = str(int(10 ** rng.uniform(0, 18)))
-                argvs.append(["adjust", "--n", n, "--alpha", level(-12), "--delta", level(-300),
-                              "--regime", "inf"] + ["--method", "dkwm"] * (rng.random() < 0.25))
-                n = str(int(10 ** rng.uniform(0, 18)))
-                argvs.append(["rungs", "--n", n, "--alpha", level(-12), "--regime", "inf",
-                              "--format", rng.choice(["json", "csv"])])
-            for command in (["adjust", "--delta", "0.1"], ["rungs"]):
-                argvs.append(command + ["--n", str(10**400), "--alpha", "0.1", "--regime", "inf"])
-            answered = 0
-            for argv in argvs:
-                out, err = io.StringIO(), io.StringIO()
-                start = time.perf_counter()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(argv)
-                elapsed = time.perf_counter() - start
-                assert elapsed < 10, (argv, elapsed)
-                if code in (0, 2):
-                    answered += 1
-                    if "--format" not in argv or argv[-1] == "json":
-                        json.loads(out.getvalue())
-                else:
-                    assert code == 1, (argv, code)
-                    assert err.getvalue().startswith("error: "), (argv, err.getvalue())
-            print(f"{answered} of {len(argvs)} fuzzed infinite-regime calls answered")
-        """, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert "Traceback" not in proc.stderr
-        print(proc.stdout.strip())
+        rng = random.Random(1016)
+
+        def level(lo):
+            return repr(10 ** rng.uniform(lo, math.log10(0.999)))
+
+        argvs = []
+        for _ in range(40):
+            n = str(int(10 ** rng.uniform(0, 18)))
+            argvs.append(["adjust", "--n", n, "--alpha", level(-12), "--delta", level(-300),
+                          "--regime", "inf"] + ["--method", "dkwm"] * (rng.random() < 0.25))
+            n = str(int(10 ** rng.uniform(0, 18)))
+            argvs.append(["rungs", "--n", n, "--alpha", level(-12), "--regime", "inf",
+                          "--format", rng.choice(["json", "csv"])])
+        for command in (["adjust", "--delta", "0.1"], ["rungs"]):
+            argvs.append(command + ["--n", str(10**400), "--alpha", "0.1", "--regime", "inf"])
+        run_calls(argvs, 10, "infinite-regime")
+
+
+class TestWindowFuzz:
+    """Window-regime adjust and rungs, and mondrian, on seeded draws made as
+    ``relations`` makes them: n, n_j and m log-uniform up to 1e6, k up to 1e9
+    with k_j at 0, at k or in between, delta log-uniform in [1e-300, 0.9],
+    levels in [1e-3, 0.99] typed with 1 to 9 digits; and 10**400 for each
+    size flag."""
+
+    DOMAIN = relations.Domain(size=10**6, delta_min=1e-300, digits=9)
+    DRAWS = {"--n": relations.size, "--nj": relations.size, "--m": relations.size,
+             "--alpha": relations.level, "--delta": relations.delta}
+    BIG = str(10**400)
+
+    def draw(self, rng: random.Random, *flags: str) -> list[str]:
+        return [word for flag in flags for word in (flag, str(self.DRAWS[flag](rng, self.DOMAIN)))]
+
+    def test_adjust(self):
+        rng = random.Random(3301)
+        argvs = [["adjust", *self.draw(rng, "--n", "--alpha", "--delta", "--m"),
+                  "--regime", "window"] for _ in range(150)]
+        for n, m in [(self.BIG, "10"), ("10", self.BIG)]:
+            argvs.append(["adjust", "--n", n, "--alpha", "0.1", "--delta", "0.1",
+                          "--regime", "window", "--m", m])
+        run_calls(argvs, 10, "window adjust")
+
+    def test_rungs(self):
+        # MAX_REQUEST_TERMS admits ~20-30 s of window tail terms in one table
+        rng = random.Random(3302)
+        argvs = [["rungs", *self.draw(rng, "--n", "--alpha", "--m"), "--regime", "window",
+                  "--format", rng.choice(["json", "csv"])] for _ in range(8)]
+        for n, m in [(self.BIG, "10"), ("10", self.BIG)]:
+            argvs.append(["rungs", "--n", n, "--alpha", "0.1", "--regime", "window", "--m", m])
+        run_calls(argvs, 30, "window rungs")
+
+    def test_mondrian(self):
+        # MAX_REQUEST_TERMS admits ~20-30 s of work in one search
+        rng = random.Random(3303)
+        argvs = []
+        for _ in range(40):
+            k = relations.size(rng, relations.WIDE)
+            k_j = rng.choice([0, k, rng.randint(0, k)])
+            argvs.append(["mondrian", "--k", str(k), "--kj", str(k_j),
+                          *self.draw(rng, "--nj", "--m", "--alpha", "--delta")])
+        small = {"--k": "40", "--kj": "5", "--nj": "20", "--m": "10"}
+        for flag in small:
+            sizes = small | {flag: self.BIG} | ({"--k": self.BIG} if flag == "--kj" else {})
+            argvs.append(["mondrian", *(word for pair in sizes.items() for word in pair),
+                          "--alpha", "0.1", "--delta", "0.1"])
+        run_calls(argvs, 30, "mondrian")
 
 
 class TestRungsCommand:

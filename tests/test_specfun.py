@@ -40,8 +40,11 @@ KERNELS = {
 
 def _bad_calls():
     for name, (_, args, m_at, bad_points) in KERNELS.items():
-        bad = [(len(args) - 2, v) for v in (0.0, -1.5, math.nan, math.inf)]
-        bad += [(len(args) - 1, v) for v in (0, -2, math.nan, -math.inf)]
+        # betabinom_pmf_vector takes one zero shape, for the law's point-mass
+        # limit (TestBetaBinomial.test_one_zero_shape_is_a_point_mass)
+        zero_is_bad = name != "betabinom_pmf_vector"
+        bad = [(len(args) - 2, v) for v in (0.0, -1.5, math.nan, math.inf) if v or zero_is_bad]
+        bad += [(len(args) - 1, v) for v in (0, -2, math.nan, -math.inf) if v or zero_is_bad]
         if m_at is not None:
             bad += [(m_at, v) for v in (True, 0, -3)]
         bad += [(0, v) for v in bad_points]
@@ -90,7 +93,7 @@ class TestRegIncBeta:
 
     def test_endpoints(self):
         # Bin(a+b-1, x) is a point mass at x = 0 and x = 1
-        for p in [(4, 3), (1, 1), (1, 60), (60, 1.0)]:
+        for p in [(4, 3), (1, 1), (1, 60), (60, 1.0), (500_000, 500_001)]:
             assert reg_inc_beta(0.0, *p) == 0.0
             assert reg_inc_beta(1.0, *p) == 1.0
             assert beta_survival(0.0, *p) == 1.0
@@ -273,6 +276,20 @@ class TestBetaBinomial:
                     for r in range(m + 1)]
         for r, (got, exact) in enumerate(zip(betabinom_pmf_vector(m, a, b), want)):
             assert abs(got - exact) <= 1e-14 * exact, r
+
+    def test_one_zero_shape_is_a_point_mass(self):
+        # Beta-Binomial(m; 0, b) is the point mass at r = 0, (m; a, 0) at r = m
+        for m in (1, 2, 7, 300, 10**4):
+            at_zero = [1.0] + [0.0] * m
+            for shape in (1, 2, 0.5, 2.5, 10**18, 1e300):
+                for zero in (0, 0.0):
+                    assert betabinom_pmf_vector(m, zero, shape) == at_zero, (m, shape)
+                    assert betabinom_pmf_vector(m, shape, zero) == at_zero[::-1], (m, shape)
+        # but not two zero shapes, and not a negative or non-finite one
+        for a, b in [(0, 0), (0.0, 0.0), (0, -1), (-0.5, 0), (0, math.nan), (math.nan, 0.0),
+                     (0, math.inf), (math.inf, 0)]:
+            with pytest.raises(ValueError):
+                betabinom_pmf_vector(5, a, b)
 
     def test_pmf_vector_against_exact_rationals(self):
         rng = random.Random(2026)
