@@ -83,34 +83,40 @@ def search_grid(
     return None if lo == 0 else (lo, lo_tail)
 
 
-def grid_report(
+def answer_report(
+    method: str,
     ctx: CalibrationContext,
     regime: CoverageRegime,
     found: tuple[int, float] | None,
     note: str,
+    alpha_adj: float | None = None,
+    epsilon: float | None = None,
     skipped_rungs: tuple[int, ...] = (),
 ) -> AdjustmentReport:
-    """The SSBC report for a :func:`search_grid` answer; ``note`` explains
-    an infeasible one."""
+    """The report for an adjuster's answer: ``found`` is the rung and its
+    tail, or None, and then ``note`` says why no level is feasible.  The
+    level is the grid level u/(n+1) unless ``alpha_adj`` is given."""
     if found is None:
         return AdjustmentReport(
             feasible=False,
-            method=METHOD_SSBC,
+            method=method,
             context=ctx,
             regime=regime,
+            epsilon=epsilon,
             skipped_rungs=skipped_rungs,
             note=note,
         )
     u, tail = found
     return AdjustmentReport(
         feasible=True,
-        method=METHOD_SSBC,
+        method=method,
         context=ctx,
         regime=regime,
-        alpha_adj=u / (ctx.n + 1),
+        alpha_adj=u / (ctx.n + 1) if alpha_adj is None else alpha_adj,
         u_star=u,
         achieved_tail=tail,
         achieved_violation=1.0 - tail,
+        epsilon=epsilon,
         skipped_rungs=skipped_rungs,
     )
 
@@ -131,14 +137,19 @@ def ssbc_adjust(ctx: CalibrationContext, regime: CoverageRegime) -> AdjustmentRe
         highest_grid_index_below(ctx.alpha_target, n),
         1.0 - ctx.delta,
     )
-    return grid_report(
-        ctx, regime, found, "no grid level below alpha_target satisfies the tail constraint"
+    return answer_report(
+        METHOD_SSBC, ctx, regime, found,
+        "no grid level below alpha_target satisfies the tail constraint",
     )
 
 
 def dkwm_eps(n: int, delta: float) -> float:
-    """One-sided DKW-Massart margin sqrt(ln(1/delta) / (2n))."""
-    return math.sqrt(math.log(1.0 / delta) / (2.0 * n))
+    """One-sided DKW-Massart margin sqrt(ln(1/delta) / (2n)).  Where 1/delta
+    overflows (delta < 1/DBL_MAX) the log is -ln(delta); elsewhere the
+    quotient's log is kept, which can differ from -ln(delta) in the last bit."""
+    inverse = 1.0 / delta
+    log_inverse = math.log(inverse) if inverse != math.inf else -math.log(delta)
+    return math.sqrt(log_inverse / (2.0 * n))
 
 
 def dkwm_adjust(ctx: CalibrationContext) -> AdjustmentReport:
@@ -153,26 +164,13 @@ def dkwm_adjust(ctx: CalibrationContext) -> AdjustmentReport:
     regime = CoverageRegime.infinite()
     eps = dkwm_eps(n, ctx.delta)
     alpha_adj = ctx.alpha_target - eps
-    if alpha_adj <= 0.0:
-        return AdjustmentReport(
-            feasible=False,
-            method=METHOD_DKWM,
-            context=ctx,
-            regime=regime,
-            epsilon=eps,
-            note="alpha_target - eps is not positive",
-        )
-    u = n + 1 - order_index(alpha_adj, n)
-    # at u = 0 the threshold is the everything-set: coverage is identically 1
-    tail = tail_prob(n, u, regime, ctx.alpha_target) if u else 1.0
-    return AdjustmentReport(
-        feasible=True,
-        method=METHOD_DKWM,
-        context=ctx,
-        regime=regime,
+    found = None
+    if alpha_adj > 0.0:
+        u = n + 1 - order_index(alpha_adj, n)
+        # at u = 0 the threshold is the everything-set: coverage is identically 1
+        found = (u, tail_prob(n, u, regime, ctx.alpha_target) if u else 1.0)
+    return answer_report(
+        METHOD_DKWM, ctx, regime, found, "alpha_target - eps is not positive",
         alpha_adj=alpha_adj,
-        u_star=u,
-        achieved_tail=tail,
-        achieved_violation=1.0 - tail,
         epsilon=eps,
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .adjust import AdjustmentReport, grid_report, search_grid
+from .adjust import METHOD_SSBC, AdjustmentReport, answer_report, search_grid
 from .coverage import (
     CalibrationContext, CoverageRegime, Record, check_int, check_unit, highest_grid_index_below,
     tail_prob
@@ -117,10 +117,11 @@ def ssbc_mondrian(spec: MondrianSpec) -> AdjustmentReport:
     note = "no grid level below alpha_target meets the budget constraint"
     if highest == n_j == 1:
         note = "every grid level below alpha_target has a degenerate miscoverage law"
-    return grid_report(
+    return answer_report(
+        METHOD_SSBC,
         CalibrationContext(n=n_j, alpha_target=alpha, delta=spec.delta),
         CoverageRegime.window(spec.m),
         found,
         note,
-        (n_j,) if highest == n_j else (),
+        skipped_rungs=(n_j,) if highest == n_j else (),
     )

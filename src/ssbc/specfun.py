@@ -43,8 +43,8 @@ _WALK_CUTOFF = 2.0**-60
 MAX_WALK_VARIANCE = 2**34
 # Most terms a window tail sums on its shorter side (2-3 us each on 2 vCPUs).
 MAX_WINDOW_TERMS = 2**16
-# Most terms a window rung table or a Mondrian search may sum (~20 s at ~2 us
-# a term); each counts its terms before any work and refuses more.
+# Most terms a window rung table or a Mondrian search may sum (~28 s at ~2.8 us
+# a term on 2 vCPUs); each counts its terms before any work and refuses more.
 MAX_REQUEST_TERMS = 10**7
 
 

@@ -39,6 +39,12 @@ ARGVS = [
     "adjust --n 10 --alpha 0.05 --delta 0.05 --regime inf",
     "adjust --n 10 --alpha 0.05 --delta 0.05 --regime inf --method dkwm",
     "adjust --n 5 --alpha 0.1 --delta 0.1 --regime window --m 10 --format human",
+    "adjust --n 5 --alpha 0.05 --delta 0.05 --regime window --m 20",
+    # adjust --method dkwm at the everything-set rung u = 0, and below
+    # delta = 1/DBL_MAX, where 1/delta overflows
+    "adjust --n 3 --alpha 0.4 --delta 0.45 --regime inf --method dkwm",
+    "adjust --n 5 --alpha 0.5 --delta 1e-320 --regime inf --method dkwm",
+    "adjust --n 5 --alpha 0.5 --delta 1e-320 --regime inf --method dkwm --format human",
     # adjust: usage errors and the at-once refusal of a wide window tail
     "adjust --n 50 --alpha 0.1 --delta 0.1 --regime window",
     "adjust --n 50 --alpha 0.1 --delta 0.1 --regime inf --m 10",
@@ -74,6 +80,7 @@ ARGVS = [
     f"{_MONDRIAN} --format human",
     "mondrian --k 10 --kj 4 --nj 1 --m 5 --alpha 0.9 --delta 0.5",
     "mondrian --k 10 --kj 4 --nj 1 --m 5 --alpha 0.9 --delta 0.5 --format human",
+    "mondrian --k 40 --kj 12 --nj 5 --m 12 --alpha 0.9 --delta 0.5",
     "mondrian --k 10 --kj 40 --nj 30 --m 12 --alpha 0.2 --delta 0.15",
     "mondrian --k 100000 --kj 30000 --nj 5000 --m 20000 --alpha 0.2 --delta 0.1",
     # mondrian at the two prevalence limits, where the count law is a point mass

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -258,6 +259,35 @@ class TestDkwmAdjust:
             assert report.alpha_adj > previous
             previous = report.alpha_adj
         assert 0.2 - previous < 0.002
+
+    @pytest.mark.parametrize("delta", [5e-324, 1e-320])
+    def test_subnormal_delta_gives_a_finite_margin(self, delta):
+        # 1/delta overflows below 1/DBL_MAX; with delta = num/den exactly,
+        # ln(1/delta) = ln(den) - ln(num) on integers
+        num, den = delta.as_integer_ratio()
+        report = dkwm_adjust(CalibrationContext(5, 0.5, delta))
+        assert math.isfinite(report.epsilon)
+        assert report.epsilon == pytest.approx(
+            math.sqrt((math.log(den) - math.log(num)) / 10), rel=1e-14
+        )
+        assert not report.feasible
+        assert report.alpha_adj is None and report.u_star is None
+        assert report.note == "alpha_target - eps is not positive"
+
+    def test_margin_unchanged_where_the_reciprocal_is_finite(self):
+        # the smallest delta whose reciprocal is finite, and deltas above it,
+        # keep the quotient's log; the next delta down takes -ln(delta)
+        lowest = 1.0 / sys.float_info.max
+        while math.isinf(1.0 / lowest):
+            lowest = math.nextafter(lowest, 1.0)
+        while not math.isinf(1.0 / math.nextafter(lowest, 0.0)):
+            lowest = math.nextafter(lowest, 0.0)
+        deltas = [lowest, math.nextafter(lowest, 1.0), 1e-308, 1e-300, 1e-10, 0.1, 0.9]
+        for n in (1, 25, 10**6):
+            for delta in deltas:
+                assert dkwm_eps(n, delta) == math.sqrt(math.log(1.0 / delta) / (2.0 * n))
+            below = math.nextafter(lowest, 0.0)
+            assert dkwm_eps(n, below) == math.sqrt(-math.log(below) / (2.0 * n))
 
     def test_everything_set_rung(self):
         # alpha_adj lands below the first rung: order index n+1, coverage 1

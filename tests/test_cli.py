@@ -27,6 +27,10 @@ from oracles import (
 import relations
 
 
+# Subnormal deltas, below 1/DBL_MAX, where 1/delta overflows; seeded draws
+# stop at 1e-300, so each fuzz list names these too, and each must answer.
+TINY_DELTAS = ("5e-324", "1e-320")
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN = PERFBENCH / "golden"
@@ -372,12 +376,16 @@ class TestFeasibleCommand:
              "--m", str(int(10 ** rng.uniform(0, 30)))]
             for _ in range(60)
         ]
+        tiny = [["feasible", "--n", "50", "--delta", delta, "--m", "100"] for delta in TINY_DELTAS]
+        argvs += tiny
         argvs.append(["feasible", "--n", "50", "--delta", "0.1", "--m", str(10**400)])
         calls = run_calls(argvs, 10, "feasible")
         for call in calls:
             assert call["code"] in (0, 1), call
             if call["code"] == 0:
                 assert 0.0 <= call["answer"]["alpha_star_m"] <= 1.0, call["argv"]
+        answered = calls[-1 - len(tiny):-1]
+        assert all(call["code"] == 0 for call in answered), answered
         assert calls[-1]["code"] == 1 and "float" in calls[-1]["error"], calls[-1]
 
 
@@ -403,15 +411,24 @@ class TestInfiniteFuzz:
                           "--format", rng.choice(["json", "csv"])])
         for command in (["adjust", "--delta", "0.1"], ["rungs"]):
             argvs.append(command + ["--n", str(10**400), "--alpha", "0.1", "--regime", "inf"])
-        run_calls(argvs, 10, "infinite-regime")
+        # simulate prices dkwm with the same margin as adjust --method dkwm
+        tiny = [argv for delta in TINY_DELTAS for argv in (
+            ["adjust", "--n", "5", "--alpha", "0.5", "--delta", delta, "--regime", "inf"],
+            ["adjust", "--n", "5", "--alpha", "0.5", "--delta", delta, "--regime", "inf",
+             "--method", "dkwm"],
+            ["simulate", "--n", "15", "--m", "20", "--alpha", "0.25", "--delta", delta,
+             "--runs", "200", "--seed", "9", "--methods", "none,ssbc,dkwm"],
+        )]
+        calls = run_calls(argvs + tiny, 10, "infinite-regime")
+        assert all(call["code"] != 1 for call in calls[-len(tiny):]), calls[-len(tiny):]
 
 
 class TestWindowFuzz:
     """Window-regime adjust and rungs, and mondrian, on seeded draws made as
     ``relations`` makes them: n, n_j and m log-uniform up to 1e6, k up to 1e9
     with k_j at 0, at k or in between, delta log-uniform in [1e-300, 0.9],
-    levels in [1e-3, 0.99] typed with 1 to 9 digits; and 10**400 for each
-    size flag."""
+    levels in [1e-3, 0.99] typed with 1 to 9 digits; 10**400 for each
+    size flag; and ``TINY_DELTAS``, at which every call must answer."""
 
     DOMAIN = relations.Domain(size=10**6, delta_min=1e-300, digits=9)
     DRAWS = {"--n": relations.size, "--nj": relations.size, "--m": relations.size,
@@ -428,7 +445,10 @@ class TestWindowFuzz:
         for n, m in [(self.BIG, "10"), ("10", self.BIG)]:
             argvs.append(["adjust", "--n", n, "--alpha", "0.1", "--delta", "0.1",
                           "--regime", "window", "--m", m])
-        run_calls(argvs, 10, "window adjust")
+        tiny = [["adjust", "--n", "5", "--alpha", "0.5", "--delta", delta, "--regime", "window",
+                 "--m", "10"] for delta in TINY_DELTAS]
+        calls = run_calls(argvs + tiny, 10, "window adjust")
+        assert all(call["code"] != 1 for call in calls[-len(tiny):]), calls[-len(tiny):]
 
     def test_rungs(self):
         # MAX_REQUEST_TERMS admits ~20-30 s of window tail terms in one table
@@ -453,7 +473,10 @@ class TestWindowFuzz:
             sizes = small | {flag: self.BIG} | ({"--k": self.BIG} if flag == "--kj" else {})
             argvs.append(["mondrian", *(word for pair in sizes.items() for word in pair),
                           "--alpha", "0.1", "--delta", "0.1"])
-        run_calls(argvs, 30, "mondrian")
+        tiny = [["mondrian", *(word for pair in small.items() for word in pair), "--alpha", "0.1",
+                 "--delta", delta] for delta in TINY_DELTAS]
+        calls = run_calls(argvs + tiny, 30, "mondrian")
+        assert all(call["code"] != 1 for call in calls[-len(tiny):]), calls[-len(tiny):]
 
 
 class TestRungsCommand:

@@ -135,7 +135,7 @@ def test_one_score_window_rung_is_delta_times_n_plus_one():
     # u* = min(u_hi, floor(delta (n+1))) in exact fractions of the decimals,
     # 0 meaning infeasible.  No draw here lands exactly on delta (n+1) = u:
     # at such a tie the lgamma tail reads u/(n+1) a few ulps high once n is
-    # in the thousands, and u* comes out one rung low (ROADMAP item 2).
+    # in the thousands, and u* comes out one rung low (ROADMAP item 15).
     rng = random.Random("window-m1")
     answered = 0
     for _ in range(2000):
