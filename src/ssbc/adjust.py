@@ -62,10 +62,10 @@ class AdjustmentReport(Record):
 
 
 def search_grid(
-    tail_fn: Callable[[int], float], u_hi: int, threshold: float
+    tail_fn: Callable[[int], float], u_hi: int, delta: float
 ) -> tuple[int, float] | None:
-    """Largest rung u in 1..u_hi with tail_fn(u) >= threshold, with its tail,
-    or None when no rung passes.
+    """Largest rung u in 1..u_hi whose printed violation 1.0 - tail_fn(u), exact
+    for tails >= 1/2, is at most delta, with its tail; None if no rung passes.
 
     tail_fn must be nonincreasing in u, so the passing rungs are a prefix
     1..u*.  The search bisects between rung 0, taken to pass, and rung
@@ -76,7 +76,7 @@ def search_grid(
     while hi - lo > 1:
         mid = (lo + hi) // 2
         tail = tail_fn(mid)
-        if tail >= threshold:
+        if 1.0 - tail <= delta:
             lo, lo_tail = mid, tail
         else:
             hi = mid
@@ -122,8 +122,8 @@ def answer_report(
 
 
 def ssbc_adjust(ctx: CalibrationContext, regime: CoverageRegime) -> AdjustmentReport:
-    """Largest grid level u/(n+1) below the target whose coverage-law tail
-    meets the 1-delta guarantee.
+    """Largest grid level u/(n+1) below the target whose violation, one
+    minus its coverage-law tail, is at most delta.
 
     Raising u lowers the order index n+1-u of the threshold, so the
     coverage law shrinks stochastically and its tail cannot grow.  The
@@ -135,7 +135,7 @@ def ssbc_adjust(ctx: CalibrationContext, regime: CoverageRegime) -> AdjustmentRe
     found = search_grid(
         lambda u: tail_prob(n, u, regime, ctx.alpha_target),
         highest_grid_index_below(ctx.alpha_target, n),
-        1.0 - ctx.delta,
+        ctx.delta,
     )
     return answer_report(
         METHOD_SSBC, ctx, regime, found,

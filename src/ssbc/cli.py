@@ -209,8 +209,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ValueError, OverflowError, MemoryError) as exc:
         # OverflowError: an input, or a value derived from it, beyond a double.
-        # MemoryError: arrays sized from the inputs (simulate's draws) that
-        # cannot be allocated; the request fails before it touches memory.
+        # MemoryError: arrays sized from the inputs (within simulate's
+        # MAX_RUN_DRAWS) that cannot be allocated before memory is touched.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -38,9 +38,11 @@ METHOD_NAMES = ("none", "ssbc", "dkwm")
 # scratch and up to 192 KiB of comparisons at a time, or one run's worth of
 # each if that is larger.
 BLOCK_DRAWS = 1 << 16
-# Most draws, runs * (n + m), of a simulation of more than one run (~1-2.5 min
-# at 6-15 ns a draw on 2 vCPUs); one run's draws are allocated, so memory bounds it.
+# Most draws of a simulation, runs * (n + m) (~1-2.5 min at 6-15 ns a draw on 2 vCPUs), and
+# of one run, n + m (a thread holds two words a draw, the theory pmf a float a window count:
+# one run of 2**24 draws peaked at 286 MiB with m = 1 and 1,441 MiB with n = 1, ru_maxrss).
 MAX_SIM_DRAWS = 10**10
+MAX_RUN_DRAWS = 2**24
 # Longest calibration row that _count_runs sorts whole; a longer row is
 # partitioned at one order index and only the side beyond it is sorted, if
 # that side is at most a third of the row.  On an AVX-512 CPU numpy 2.4.6
@@ -75,7 +77,9 @@ class SimConfig(Record):
         check_unit("alpha_target", alpha_target)
         check_unit("delta", delta)
         check_int("runs", runs)
-        if runs > 1 and runs * (n + m) > MAX_SIM_DRAWS:
+        if n + m > MAX_RUN_DRAWS:
+            raise ValueError(f"a run of {n + m} draws exceeds MAX_RUN_DRAWS = {MAX_RUN_DRAWS}")
+        if runs * (n + m) > MAX_SIM_DRAWS:
             raise ValueError(f"{runs} runs of {n + m} draws exceed MAX_SIM_DRAWS = {MAX_SIM_DRAWS}")
         check_int("seed", seed, 0, 2**64 - 1)
         if score_model not in SCORE_MODELS:

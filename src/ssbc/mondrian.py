@@ -10,8 +10,8 @@ calibration points induce a Beta(s_j, n_j-s_j) law, and so a Beta-Binomial
 error count given the class count: the miscovered count of the window
 coverage law at calibration size n_j - 1.  Summing its window tails against
 the count law prices the probability of staying within the per-window error
-budget, and the grid search accepts the largest rung whose budget success
-probability meets 1 - delta.
+budget, and the grid search accepts the largest rung whose budget failure
+probability, one minus its success probability, is at most delta.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ def budget_success_prob(spec: MondrianSpec, u: int) -> float:
 
 
 def ssbc_mondrian(spec: MondrianSpec) -> AdjustmentReport:
-    """Largest grid rung below the target whose budget success probability
-    meets 1 - delta.
+    """Largest grid rung below the target whose budget failure probability,
+    one minus its success probability, is at most delta.
 
     On the grid s_j = u, so the only degenerate rung is u = n_j; it is
     skipped and recorded.  The search over the other rungs is the bisection
@@ -113,7 +113,7 @@ def ssbc_mondrian(spec: MondrianSpec) -> AdjustmentReport:
     if terms > MAX_REQUEST_TERMS:
         raise ValueError(f"a Mondrian search at m={m} may sum {terms:.3g} terms; "
                          f"the limit is MAX_REQUEST_TERMS = {MAX_REQUEST_TERMS}")
-    found = search_grid(lambda u: budget_success_prob(spec, u), u_hi, 1.0 - spec.delta)
+    found = search_grid(lambda u: budget_success_prob(spec, u), u_hi, spec.delta)
     note = "no grid level below alpha_target meets the budget constraint"
     if highest == n_j == 1:
         note = "every grid level below alpha_target has a degenerate miscoverage law"

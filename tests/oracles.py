@@ -263,14 +263,14 @@ def method_report(report, name: str):
     raise KeyError(name)
 
 
-def full_scan(tail_fn, u_hi: int, threshold):
-    """(u, tail) for the largest u in 1..u_hi with tail_fn(u) >= threshold,
+def full_scan(tail_fn, u_hi: int, delta: float):
+    """(u, tail) for the largest u in 1..u_hi with 1.0 - tail_fn(u) <= delta,
     or None.  Evaluates every rung and assumes nothing about monotonicity:
     the reference for ``ssbc.adjust.search_grid``."""
     best = None
     for u in range(1, u_hi + 1):
         tail = tail_fn(u)
-        if tail >= threshold:
+        if 1.0 - tail <= delta:
             best = (u, tail)
     return best
 

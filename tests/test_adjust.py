@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ssbc.adjust
 from ssbc.adjust import dkwm_adjust, dkwm_eps, search_grid, ssbc_adjust
 from ssbc.coverage import CalibrationContext, CoverageRegime, highest_grid_index_below, tail_prob
 from ssbc.mondrian import MondrianSpec, budget_success_prob, ssbc_mondrian
@@ -37,10 +38,30 @@ class TestSearchGrid:
                     calls.append(u)
                     return float(u_star - u)  # nonincreasing; passes iff u <= u_star
 
-                got = search_grid(tail, u_hi, 0.0)
+                got = search_grid(tail, u_hi, 1.0)
                 assert got == (None if u_star == 0 else (u_star, 0.0))
                 assert all(1 <= u <= u_hi for u in calls)
                 assert len(calls) <= math.ceil(math.log2(u_hi + 1))
+
+
+class TestPassRuleAtRoundingTie:
+    """A rung passes when the violation 1.0 - tail it prints is at most
+    delta.  fl(1 - 0.001) rounds down to the double 0.999, whose violation
+    prints as 0.0010000000000000009 > 0.001, so a stubbed tail of 0.999
+    fails every rung.  At delta = 0.1 a stubbed 0.9 prints
+    0.09999999999999998 and passes every rung."""
+
+    def test_tail_below_one_minus_delta_fails(self, monkeypatch):
+        monkeypatch.setattr(ssbc.adjust, "tail_prob", lambda *args: 0.999)
+        report = ssbc_adjust(CalibrationContext(50, 0.1, 0.001), CoverageRegime.infinite())
+        assert not report.feasible and report.u_star is None
+
+    def test_tail_above_one_minus_delta_passes(self, monkeypatch):
+        monkeypatch.setattr(ssbc.adjust, "tail_prob", lambda *args: 0.9)
+        ctx = CalibrationContext(50, 0.1, 0.1)
+        report = ssbc_adjust(ctx, CoverageRegime.infinite())
+        assert (report.u_star, report.achieved_tail) == (5, 0.9)  # every rung below 0.1 passes
+        assert report.achieved_violation <= ctx.delta
 
 
 class TestHighestGridIndexBelow:
@@ -121,7 +142,7 @@ class TestSsbcAdjust:
             best = full_scan(
                 lambda u: tail_prob(n, u, regime, ctx.alpha_target),
                 highest_grid_index_below(ctx.alpha_target, n),
-                1.0 - ctx.delta,
+                ctx.delta,
             )
             _assert_matches_scan(
                 ssbc_adjust(ctx, regime),
@@ -156,7 +177,7 @@ class TestSsbcAdjust:
                 return budget_success_prob(spec, u)
 
             highest = highest_grid_index_below(spec.alpha_target, spec.n_j)
-            best = full_scan(p_good, highest, 1.0 - spec.delta)
+            best = full_scan(p_good, highest, spec.delta)
             if skipped and len(skipped) == highest:
                 note = "every grid level below alpha_target has a degenerate miscoverage law"
             else:

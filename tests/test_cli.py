@@ -652,15 +652,23 @@ class TestSimulateCommand:
         assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
         assert proc.stderr.startswith("error: ") and "MAX_SIM_DRAWS" in proc.stderr
 
-    def test_unallocatable_draws_are_an_error(self, capsys):
-        # 7.11 PiB of draws exceeds the address space: the allocation fails
-        # before any memory is touched.
-        code, out, err = run_cli(
-            capsys, "simulate", "--n", "1000000000000000", "--m", "10", "--alpha", "0.1",
-            "--delta", "0.1", "--runs", "1", "--seed", "1", "--methods", "none",
-        )
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err.startswith("error: Unable to allocate")
+    def test_unallocatable_draws_are_an_error(self, capsys, monkeypatch):
+        # One draw past MAX_RUN_DRAWS, and 7.11 PiB of draws, are refused
+        # at every run count before the simulation allocates anything.
+        import ssbc.mc
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("run_simulation was reached")
+
+        monkeypatch.setattr(ssbc.mc, "run_simulation", unreachable)
+        for n, runs in ((ssbc.mc.MAX_RUN_DRAWS, 1), (ssbc.mc.MAX_RUN_DRAWS, 2), (10**15, 1)):
+            code, out, err = run_cli(
+                capsys, "simulate", "--n", str(n), "--m", "1", "--alpha", "0.1",
+                "--delta", "0.1", "--runs", str(runs), "--seed", "1", "--methods", "none",
+            )
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == (f"error: a run of {n + 1} draws exceeds "
+                           f"MAX_RUN_DRAWS = {ssbc.mc.MAX_RUN_DRAWS}\n")
 
 
 class TestGoldenExamples:

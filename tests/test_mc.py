@@ -14,6 +14,7 @@ from ssbc.coverage import CalibrationContext, CoverageRegime, order_index, windo
 from ssbc.adjust import ssbc_adjust
 from ssbc.mc import (
     BLOCK_DRAWS,
+    MAX_RUN_DRAWS,
     MAX_SIM_DRAWS,
     MethodReport,
     SimConfig,
@@ -221,11 +222,16 @@ class TestRunSimulation:
 
     def test_draw_limit(self):
         # MAX_SIM_DRAWS = runs * (n + m) is accepted, one more run is not;
-        # a single run is bounded by its allocation instead
+        # MAX_RUN_DRAWS = n + m is accepted, one more draw is not, at every
+        # run count.  A SimConfig allocates nothing.
         SimConfig(n=1, m=1, alpha_target=0.5, delta=0.4, runs=MAX_SIM_DRAWS // 2, seed=1)
         with pytest.raises(ValueError, match="MAX_SIM_DRAWS"):
             SimConfig(n=1, m=1, alpha_target=0.5, delta=0.4, runs=MAX_SIM_DRAWS // 2 + 1, seed=1)
-        SimConfig(n=MAX_SIM_DRAWS, m=1, alpha_target=0.5, delta=0.4, runs=1, seed=1)
+        for runs in (1, 2):
+            for n, m in ((MAX_RUN_DRAWS - 1, 1), (1, MAX_RUN_DRAWS - 1)):
+                SimConfig(n=n, m=m, alpha_target=0.5, delta=0.4, runs=runs, seed=1)
+                with pytest.raises(ValueError, match="MAX_RUN_DRAWS"):
+                    SimConfig(n=n + 1, m=m, alpha_target=0.5, delta=0.4, runs=runs, seed=1)
 
     def test_seed_echo_and_metadata(self):
         config = SimConfig(n=10, m=10, alpha_target=0.3, delta=0.3, runs=50, seed=424242)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ssbc.mondrian
 from ssbc.adjust import ssbc_adjust
 from ssbc.coverage import CalibrationContext, CoverageRegime, window_threshold
 from ssbc.mc import _words
@@ -314,6 +315,18 @@ class TestSsbcMondrian:
             report = ssbc_mondrian(spec)
             if report.feasible:
                 assert budget_success_prob(spec, report.u_star) >= 1 - spec.delta
+
+    def test_pass_rule_at_rounding_tie(self, monkeypatch):
+        # fl(1 - 0.001) rounds down to 0.999, whose violation 1.0 - 0.999
+        # prints as 0.0010000000000000009 > 0.001: no rung passes.
+        # fl(1 - 0.1) = 0.9 prints 0.09999999999999998 <= 0.1: every rung passes.
+        spec = MondrianSpec(k=40, k_j=12, n_j=30, m=12, alpha_target=0.2, delta=0.001)
+        monkeypatch.setattr(ssbc.mondrian, "budget_success_prob", lambda spec, u: 0.999)
+        assert not ssbc_mondrian(spec).feasible
+        spec = MondrianSpec(k=40, k_j=12, n_j=30, m=12, alpha_target=0.2, delta=0.1)
+        monkeypatch.setattr(ssbc.mondrian, "budget_success_prob", lambda spec, u: 0.9)
+        report = ssbc_mondrian(spec)
+        assert (report.u_star, report.achieved_tail) == (6, 0.9)  # largest u with u/31 < 0.2
 
     def test_all_rungs_degenerate(self):
         spec = MondrianSpec(k=10, k_j=4, n_j=1, m=5, alpha_target=0.9, delta=0.5)
