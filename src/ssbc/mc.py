@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+from itertools import islice
 
 import numpy as np
 
@@ -40,7 +41,7 @@ METHOD_NAMES = ("none", "ssbc", "dkwm")
 BLOCK_DRAWS = 1 << 16
 # Most draws of a simulation, runs * (n + m) (~1-2.5 min at 6-15 ns a draw on 2 vCPUs), and
 # of one run, n + m (a thread holds two words a draw, the theory pmf a float a window count:
-# one run of 2**24 draws peaked at 286 MiB with m = 1 and 1,441 MiB with n = 1, ru_maxrss).
+# one run of 2**24 draws peaked at 286 MiB with m = 1 and 946 MiB with n = 1, ru_maxrss).
 MAX_SIM_DRAWS = 10**10
 MAX_RUN_DRAWS = 2**24
 # Longest calibration row that _count_runs sorts whole; a longer row is
@@ -309,7 +310,8 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
             u_star=report.u_star,
             empirical_violation_rate=violations / config.runs,
             # fsum is correctly rounded in any order; from x* - 1 down it is ~20x faster
-            theory_violation_rate=math.fsum(theory_overlay(config, report)[x_star - 1 :: -1]),
+            theory_violation_rate=math.fsum(
+                islice(reversed(theory_overlay(config, report)), config.m + 1 - x_star, None)),
             violations=violations,
             coverage_histogram=tuple(hist.tolist()),
         )

@@ -2,7 +2,9 @@
 
 Every Beta law here has integer shapes, so each Beta tail is a binomial
 tail, Pr(Beta(a, b) >= t) = Pr(V <= a - 1) for V ~ Bin(a + b - 1, t), summed
-by one walk out from the mode, with no lgamma and no series.  Accuracy
+by one walk out from the mode, with no lgamma and no series.  The upper tail
+is the lower tail of the mirrored law: I_x(a, b) = Pr(W <= b - 1) for
+W = N - V ~ Bin(N, 1 - x), whose walked terms are V's reversed.  Accuracy
 contract, as measured, not proven: the absolute error of
 :func:`beta_survival` and :func:`reg_inc_beta` stays below
 1e-15 + 1e-17 * sqrt(N), N = a + b - 1.  Against 40-digit mpmath sums it was
@@ -21,7 +23,7 @@ summed on the shorter side of its threshold, of at most MAX_WINDOW_TERMS terms.
 
 Every function takes the law's parameters as plain numbers, in the order
 scipy.stats uses: the point, then the trial count m of a Beta-Binomial, then
-the shapes a and b.  The Beta kernels check them in :func:`_inc_beta_pair`,
+the shapes a and b.  The Beta kernels check them in :func:`_binomial_cdf`,
 the lgamma Beta-Binomial kernels with :func:`_check_law`, and
 :func:`betabinom_pmf_vector`, which also takes one zero shape, on its own,
 once per call; the term routine and :func:`_log_beta` check nothing.
@@ -38,7 +40,7 @@ from operator import mul, truediv
 
 # A binomial walk stops on each side where a term falls below this share of
 # the mode term, ~9.1 standard deviations out; a law of variance above
-# MAX_WALK_VARIANCE (~2.4e6 terms: ~2 s, 55 MB on 2 vCPUs) is refused.
+# MAX_WALK_VARIANCE (~2.4e6 terms: ~1.2 s, 29 MiB on 2 vCPUs) is refused.
 _WALK_CUTOFF = 2.0**-60
 MAX_WALK_VARIANCE = 2**34
 # Most terms a window tail sums on its shorter side (2-3 us each on 2 vCPUs).
@@ -105,61 +107,59 @@ def _log_beta(a: float, b: float) -> float:
     return math.lgamma(small) - _lgamma_step(large, small)
 
 
-@functools.lru_cache(maxsize=1)  # callers read one law many times in a row
-def _binomial_walk(N: int, x: float) -> tuple[int, array, array]:
-    """(lo, prefix, suffix) for V ~ Bin(N, x), in units of the term at the
-    mode: prefix[i] sums the terms of V = lo..lo+i, suffix[j] the last j+1.
+@functools.lru_cache(maxsize=2)  # callers read one law, or its two sides, many times in a row
+def _binomial_walk(N: int, x: float, mirror: bool) -> tuple[int, array]:
+    """(lo, prefix) for V ~ Bin(N, x), or with mirror for N - V ~ Bin(N, 1 - x),
+    in units of the term at the mode: prefix[i] sums the walked terms at lo..lo+i.
 
-    With x = M/D exactly and Q = D - M, the walk goes out both ways from the
-    mode by p(v+1)/p(v) = (N-v) M / ((v+1) Q) and p(v-1)/p(v) =
-    v Q / ((N-v+1) M), each one correctly rounded quotient of exact
-    integers, so no rounding repeats from step to step.  Each side stops
+    With x = M/D exactly and Q = D - M (swapped by mirror), the walk goes up
+    from the mode by p(v+1)/p(v) = (N-v) M / ((v+1) Q), and down by the same
+    walk up of the mirrored law, each step one correctly rounded quotient
+    of exact integers, so no rounding repeats from step to step and the
+    mirrored walk's terms are these reversed, bit for bit.  Each side stops
     where a term falls below _WALK_CUTOFF of the mode term; at x = 0 or 1
     its first step away from the mode is 0, which leaves the point mass.
     """
     M, D = x.as_integer_ratio()
-    Q = D - M
+    M, Q = (D - M, M) if mirror else (M, D - M)
     if N * M * Q > MAX_WALK_VARIANCE * D * D:
         raise ValueError(f"Bin({N}, {x!r}) is too wide to sum: its variance N x (1 - x) "
                          f"exceeds MAX_WALK_VARIANCE = {MAX_WALK_VARIANCE}")
+
+    def up(v: int, M: int, Q: int) -> Iterator[float]:  # p(v+1..) / p(v) of Bin(N, M/D)
+        steps = map(truediv, map(mul, range(N - v, 0, -1), repeat(M)),
+                    map(mul, range(v + 1, N + 1), repeat(Q)))
+        return takewhile(_WALK_CUTOFF.__le__, accumulate(steps, mul))
+
     mode = min(N, (N + 1) * M // D)
-    steps_up = map(truediv, map(mul, range(N - mode, 0, -1), repeat(M)),
-                   map(mul, range(mode + 1, N + 1), repeat(Q)))
-    steps_down = map(truediv, map(mul, range(mode, 0, -1), repeat(Q)),
-                     map(mul, range(N - mode + 1, N + 1), repeat(M)))
-    terms = array("d", takewhile(_WALK_CUTOFF.__le__, accumulate(steps_down, mul)))
-    lo = mode - len(terms)
-    terms.reverse()
-    terms.append(1.0)
-    terms.extend(takewhile(_WALK_CUTOFF.__le__, accumulate(steps_up, mul)))
-    return lo, array("d", accumulate(terms)), array("d", accumulate(reversed(terms)))
+    below = array("d", up(N - mode, Q, M))
+    below.reverse()
+    return mode - len(below), array("d", accumulate(chain(below, (1.0,), up(mode, M, Q))))
 
 
-def _inc_beta_pair(name: str, x: float, a: float, b: float) -> tuple[float, float]:
-    """(I_x(a, b), 1 - I_x(a, b)) = (Pr(V >= a), Pr(V <= a-1)), V ~ Bin(a+b-1, x):
-    each side summed directly and divided by the walked mass."""
+def _binomial_cdf(name: str, x: float, a: float, b: float, mirror: bool) -> float:
+    """Pr(V <= a-1) for V ~ Bin(a+b-1, x), or with mirror Pr(N - V <= b-1):
+    the walked terms up to that point over the walked mass."""
     if not (a >= 1 and b >= 1 and a % 1 == 0 and b % 1 == 0):
         raise ValueError(f"Beta shapes must be integers >= 1, got a={a!r}, b={b!r}")
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
-    lo, prefix, suffix = _binomial_walk(int(a) + int(b) - 1, float(x))
-    i, last = int(a) - 1 - lo, len(prefix) - 1
+    lo, prefix = _binomial_walk(int(a) + int(b) - 1, float(x), mirror)
+    i = int(b if mirror else a) - 1 - lo
     if i < 0:
-        return 1.0, 0.0
-    if i >= last:
-        return 0.0, 1.0
-    return suffix[last - 1 - i] / suffix[last], prefix[i] / prefix[last]
+        return 0.0
+    return 1.0 if i >= len(prefix) - 1 else prefix[i] / prefix[-1]
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b), i.e. the Beta(a, b) CDF at x,
     for integer-valued shapes a, b >= 1."""
-    return _inc_beta_pair("x", x, a, b)[0]
+    return _binomial_cdf("x", x, a, b, True)
 
 
 def beta_survival(t: float, a: float, b: float) -> float:
     """Pr(Z >= t) for Z ~ Beta(a, b), for integer-valued shapes a, b >= 1."""
-    return _inc_beta_pair("t", t, a, b)[1]
+    return _binomial_cdf("t", t, a, b, False)
 
 
 def _betabinom_terms(m: int, a: float, b: float, start: int, stop: int) -> Iterator[float]:
@@ -199,9 +199,15 @@ def betabinom_pmf_vector(m: int, a: float, b: float) -> list[float]:
         return list(accumulate(map(truediv, nums, dens), mul))
 
     mode = min(m, max(0, (m + 1) * (A - D) // (A + B - 2 * D))) if A + B > 2 * D else m * (A > B)
-    above, below = walk(A, B, mode), walk(B, A, m - mode)
-    total = math.fsum(chain((1.0,), above, below))
-    return [term / total for term in chain(reversed(below), (1.0,), above)]
+    pmf, above = walk(B, A, m - mode), walk(A, B, mode)
+    total = math.fsum(chain((1.0,), above, pmf))
+    pmf.reverse()
+    pmf.append(1.0)
+    pmf += above
+    del above  # each term is then freed as its quotient replaces it
+    for r, term in enumerate(pmf):
+        pmf[r] = term / total
+    return pmf
 
 
 def betabinom_survival(x_star: int, m: int, a: float, b: float) -> float:

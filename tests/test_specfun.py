@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -245,6 +247,55 @@ class TestBinomialWalkCap:
         none = math.exp(n * math.log1p(-x))
         assert beta_survival(x, 1, n) == pytest.approx(none, rel=1e-14)
         assert reg_inc_beta(x, 1, n) == pytest.approx(1 - none, rel=1e-14)
+
+
+# Both Beta tails at laws a + b - 1 = N from 1 to 1e10, on both sides of
+# the mode and past the walked range, as float.hex, to the last bit:
+# (x, a, b, reg_inc_beta(x, a, b), beta_survival(x, a, b)).
+TAIL_BITS = [
+    (0.41, 1, 1, "0x1.a3d70a3d70a3dp-2", "0x1.2e147ae147ae2p-1"),
+    (0.0, 3, 5, "0x0.0p+0", "0x1.0000000000000p+0"),
+    (1.0, 3, 5, "0x1.0000000000000p+0", "0x0.0p+0"),
+    (2.0**-100, 1, 10**10, "0x0.0p+0", "0x1.0000000000000p+0"),
+    (2.0**-100, 2, 10**10 - 1, "0x0.0p+0", "0x1.0000000000000p+0"),
+    (0.41, 100, 901, "0x1.0000000000000p+0", "0x0.0p+0"),
+    (0.41, 380, 621, "0x1.f3691a86a4061p-1", "0x1.92dcaf2b7f31cp-6"),
+    (0.41, 450, 551, "0x1.754db49e7f91dp-8", "0x1.fd156496c3013p-1"),
+    (0.683, 682_001, 318_000, "0x1.f7df5d679d693p-1", "0x1.0414530c52ec9p-6"),
+    (0.683, 684_501, 315_500, "0x1.49182dc02f313p-11", "0x1.ffadb9f48ff7bp-1"),
+    (0.9, 89_995_001, 10_005_000, "0x1.e784d1cf90718p-1", "0x1.87b2e306f9785p-5"),
+    (0.9, 90_004_001, 9_996_000, "0x1.757749a9f0c40p-4", "0x1.d15116cac1f4ap-1"),
+    (0.683, 683_010_001, 316_990_000, "0x1.fca7120b17271p-3", "0x1.80d63b7d3a8d6p-1"),
+    (0.9, 8_999_970_001, 1_000_030_000, "0x1.aec435c045892p-1", "0x1.44ef28feec599p-3"),
+    (0.9, 9_000_050_001, 999_950_000, "0x1.877a81edd8ee3p-5", "0x1.e78857e123062p-1"),
+]
+
+
+class TestBetaTailBits:
+    @pytest.mark.parametrize("x,a,b,lower,upper", TAIL_BITS)
+    def test_both_tails_to_the_last_bit(self, x, a, b, lower, upper):
+        assert reg_inc_beta(x, a, b).hex() == lower
+        assert beta_survival(x, a, b).hex() == upper
+
+    def test_reg_inc_beta_refuses_too_wide_laws(self):
+        for n, x in [(2**36 + 4, 0.5), (10**12, 0.9), (10**400, 0.3)]:
+            with pytest.raises(ValueError, match="MAX_WALK_VARIANCE"):
+                reg_inc_beta(x, n // 2, n - n // 2)
+
+
+class TestPmfVectorMemory:
+    @pytest.mark.parametrize("a,b", [(1, 1), (901, 100), (5, 996)])
+    def test_peak_stays_near_the_returned_list(self, a, b):
+        # The walk's terms become the returned list, each divided in place:
+        # no second list of m + 1 floats is held at once.
+        tracemalloc.start()
+        try:
+            pmf = betabinom_pmf_vector(2**16, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sys.getsizeof(pmf) + sum(map(sys.getsizeof, pmf))
+        assert peak <= 1.5 * size, (peak, size)
 
 
 class TestBetaBinomial:
