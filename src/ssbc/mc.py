@@ -1,28 +1,29 @@
 """Seeded Monte Carlo harness for validating coverage corrections.
 
-Each run draws a fresh calibration set and a fresh inference window from
-the chosen score model, thresholds at each method's level, and records the
-window coverage.  A model's scores are the uniforms U themselves
-(uniform), |tan(pi (U - 1/2))| (abs_cauchy) or the half-normal
-|Phi^-1(U)| (abs_normal).  The draws come from a counter-based stream: run
-r's w = n + m uniforms are outputs ``r*w .. r*w + w - 1`` of SplitMix64
-started at state ``seed`` (Steele, Lea & Flood, OOPSLA 2014), so any run's
-draws can be computed without the ones before it (Salmon et al., SC 2011).
-Reports are therefore byte-identical however the runs are split among
-worker threads.  Runs are counted a block at a time, in 15 to 18 array
-operations however many methods are counted: ten make the stream's words;
-none (uniform) or two (the abs_ models) make the integer keys that every
-model orders in place of its scores (see :func:`_count_runs`); one sorts
-the calibration keys, or two select the order statistics the methods read;
-and four count every method's covered window scores.  Threads run while
-numpy releases the interpreter lock inside those operations, so fewer,
-longer ones leave them less time waiting on it.
+Each run draws a fresh calibration set and a fresh inference window from the
+chosen score model, thresholds at each method's level, and records the
+window coverage.  A model's scores are the uniforms U themselves (uniform),
+|tan(pi (U - 1/2))| (abs_cauchy) or the half-normal |Phi^-1(U)|
+(abs_normal).  The draws come from a counter-based stream: run r's w = n + m
+uniforms are outputs ``r*w .. r*w + w - 1`` of SplitMix64 started at state
+``seed`` (Steele, Lea & Flood, OOPSLA 2014), so any run's draws can be
+computed without the ones before it (Salmon et al., SC 2011).  Every thread,
+the caller included, claims the next block of runs from one shared iterator,
+and reports are byte-identical whichever thread counts a block.  A block is
+15 to 18 array operations however many methods are counted: ten make the
+stream's words; none (uniform) or two (the abs_ models) make the integer
+keys that every model orders in place of its scores (see
+:func:`_count_runs`); one sorts the calibration keys, or two select the
+order statistics the methods read; and four count every method's covered
+window scores.  Threads run while numpy releases the interpreter lock inside
+those operations, so fewer, longer ones leave them less time waiting on it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from itertools import islice
 
 import numpy as np
@@ -151,7 +152,8 @@ def _words(seed: int, counter: int, state: np.ndarray, bits: np.ndarray) -> None
     state >>= 11
 
 
-def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int,
+                blocks=None) -> np.ndarray:
     """Coverage histograms for runs [start, stop): row j is method j's
     counts over coverage grid 0..m.
 
@@ -161,9 +163,11 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
     only on the counter, so the histograms of any split of a range sum to
     those of the whole.  Runs are taken ``max(1, BLOCK_DRAWS // w)`` at a
     time (fewer if the range is shorter): each fills one row of the block.
-    Every distinct order index k <= n is then compared with every window
-    score of the block in one array operation, and counted in one more; a
-    method whose k is n + 1 covers every window, so its runs need no draws.
+    Given ``blocks``, an iterator of the blocks' first runs that threads
+    share, only the blocks claimed from it are counted.  Every distinct
+    order index k <= n is then compared with every window score of the
+    block in one array operation, and counted in one more; a method whose k
+    is n + 1 covers every window, so its runs need no draws.
 
     Only the calibration keys at those order indices are read, so a row is
     sorted whole, or partitioned at one of them and sorted only beyond it
@@ -189,16 +193,17 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
       in the key on 0..2**52.
     """
     n, m = config.n, config.m
+    width = n + m
+    rows = min(max(1, BLOCK_DRAWS // width), stop - start)
+    blocks = range(start, stop, rows) if blocks is None else blocks
     orders = sorted({k for k in ks if k <= n})
     # Row i counts order index orders[i]; the last row is the everything
     # set (k = n + 1).
     counts = np.zeros((len(orders) + 1, m + 1), dtype=np.int64)
-    counts[-1, m] = stop - start
     pick = [orders.index(k) if k <= n else -1 for k in ks]
     if not orders:
+        counts[-1, m] = sum(min(rows, stop - lo) for lo in blocks)
         return counts[pick]
-    width = n + m
-    rows = min(max(1, BLOCK_DRAWS // width), stop - start)
     # The generator state holds the words, which become the keys in place;
     # `bits` is the generator's scratch; and `below` holds each order
     # statistic's comparisons with the window keys, at most 3 bytes per draw.
@@ -215,8 +220,9 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
     kth, side = None, slice(None)
     if n > _SORT_MAX_N and 3 * min(n - first, last + 1) <= n:
         kth, side = (first, slice(first, None)) if n - first <= last + 1 else (last, slice(last + 1))
-    for lo in range(start, stop, rows):
+    for lo in blocks:
         count = min(rows, stop - lo)
+        counts[-1, m] += count
         words = state[: count * width]
         _words(config.seed, lo * width, words, bits[: count * width])
         if config.score_model == "uniform":
@@ -237,18 +243,19 @@ def _count_runs(config: SimConfig, ks: tuple[int, ...], start: int, stop: int) -
     return counts[pick]
 
 
-def _order_index(config: SimConfig, method: MethodReport) -> int:
-    """The order index a method thresholds at: n + 1 - u_star from its
-    adjuster's rung, or the target's own for the method "none"."""
-    rung = method.u_star
+def _order_index(config: SimConfig, rung: int | None) -> int:
+    """The order index n + 1 - rung a method thresholds at; "none" has the target's."""
     return order_index(config.alpha_target, config.n) if rung is None else config.n + 1 - rung
 
 
 def theory_overlay(config: SimConfig, method: MethodReport) -> tuple[float, ...]:
     """Coverage pmf over {0..m}/m of a method of a run of config:
     Beta-Binomial(m; k, n+1-k) at the order index k it thresholds at, a
-    point mass at full coverage when k = n+1."""
-    k = _order_index(config, method)
+    point mass at full coverage when k = n+1.  A skipped method has no
+    order index: ValueError."""
+    if method.skipped:
+        raise ValueError(f"method {method.method!r} was skipped: {method.note}")
+    k = _order_index(config, method.u_star)
     return tuple(betabinom_pmf_vector(config.m, k, config.n + 1 - k))
 
 
@@ -256,72 +263,64 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimReport:
     """Execute the experiment and summarize per-method violation rates,
     coverage histograms, and theory overlays.
 
-    The runs are split into ``min(workers, usable CPUs, runs)`` contiguous
-    ranges, one per thread, where the usable CPUs are those the process may
-    run on (``os.sched_getaffinity``, else ``os.cpu_count()``): ``workers``
-    only caps the threads.  Each thread counts its range a block of
-    ``BLOCK_DRAWS`` draws at a time, in 15 to 18 array operations per block,
-    and numpy releases the interpreter lock inside them; the result does not
-    depend on the split.  The abs_normal and abs_cauchy models count on the
-    same integer keys, so their reports differ only in the echoed
-    ``score_model``.
+    Every thread, the caller included, claims the next of :func:`_count_runs`'
+    blocks from one shared iterator until none is left.  There are
+    ``min(workers, usable CPUs, blocks)`` threads, for the CPUs the process
+    may run on (``os.sched_getaffinity``, else ``os.cpu_count()``), so
+    ``workers`` only caps them and a request of one block runs on one thread.
+    The caller starts the other ``threads - 1``, prices the theory while they
+    count, and joins them before it returns or raises what one of them
+    raised.  Which thread counts a block does not change the result.  The
+    abs_normal and abs_cauchy models count on the same integer keys, so their
+    reports differ only in the echoed ``score_model``.
     """
     check_int("workers", workers)
-    # Each method's adjusted level; an infeasible adjuster marks its method
-    # skipped instead of failing the simulation.  The active reports are
-    # finished below, once the runs are counted.
-    ctx = CalibrationContext(n=config.n, alpha_target=config.alpha_target, delta=config.delta)
-    reports = []
+    n, m, runs = config.n, config.m, config.runs
+    # Each active method's level and rung ("none" has none); an infeasible one is skipped.
+    ctx = CalibrationContext(n=n, alpha_target=config.alpha_target, delta=config.delta)
+    levels, reports = {}, {}
     for name in config.methods:
         if name == "none":
-            reports.append(MethodReport(name, skipped=False, alpha_used=config.alpha_target))
+            levels[name] = config.alpha_target, None
             continue
-        adj = (ssbc_adjust(ctx, CoverageRegime.window(config.m)) if name == "ssbc"
-               else dkwm_adjust(ctx))
-        reports.append(
-            MethodReport(name, skipped=False, alpha_used=adj.alpha_adj, u_star=adj.u_star)
-            if adj.feasible else MethodReport(name, skipped=True, note=adj.note)
-        )
-    active = [i for i, report in enumerate(reports) if not report.skipped]
-    ks = tuple(_order_index(config, reports[i]) for i in active)
-
-    runs = config.runs
+        adj = ssbc_adjust(ctx, CoverageRegime.window(m)) if name == "ssbc" else dkwm_adjust(ctx)
+        if adj.feasible:
+            levels[name] = adj.alpha_adj, adj.u_star
+        else:
+            reports[name] = MethodReport(name, skipped=True, note=adj.note)
+    ks = tuple(_order_index(config, rung) for _, rung in levels.values())
+    starts = range(0, runs, min(max(1, BLOCK_DRAWS // (n + m)), runs))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = min(workers, cpus or 1, runs)
-    if threads == 1:
-        total = _count_runs(config, ks, 0, runs)
-    else:
-        # Imported here: one thread needs no pool.
-        from concurrent.futures import ThreadPoolExecutor
+    threads = min(workers, cpus or 1, len(starts))
+    blocks = iter(starts)  # unlike a generator's, two threads may advance it at once
+    parts, errors = [], []
 
-        bounds = [runs * i // threads for i in range(threads + 1)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            total = sum(pool.map(lambda lo, hi: _count_runs(config, ks, lo, hi),
-                                 bounds, bounds[1:]))
+    def count() -> None:
+        try:
+            parts.append(_count_runs(config, ks, 0, runs, blocks))
+        except BaseException as error:  # raised again by the caller
+            errors.append(error)
+            for _ in blocks:  # the other threads stop after their current block
+                pass
 
-    x_star = window_threshold(config.alpha_target, config.m)
-    for i, hist in zip(active, total):
-        report = reports[i]
+    x_star = window_threshold(config.alpha_target, m)
+    helpers = [threading.Thread(target=count) for _ in range(threads - 1)]
+    try:
+        for helper in helpers:
+            helper.start()
+        # fsum is correctly rounded in any order; from x* - 1 down it is ~20x faster
+        theory = [math.fsum(islice(reversed(betabinom_pmf_vector(m, k, n + 1 - k)),
+                                   m + 1 - x_star, None)) for k in ks]
+        count()
+    finally:
+        for helper in filter(threading.Thread.is_alive, helpers):  # started, not yet ended
+            helper.join()
+    if errors:
+        raise errors[0]
+
+    for (name, (alpha_used, rung)), hist, rate in zip(levels.items(), sum(parts), theory):
         violations = int(hist[:x_star].sum())
-        reports[i] = MethodReport(
-            method=report.method,
-            skipped=False,
-            alpha_used=report.alpha_used,
-            u_star=report.u_star,
-            empirical_violation_rate=violations / config.runs,
-            # fsum is correctly rounded in any order; from x* - 1 down it is ~20x faster
-            theory_violation_rate=math.fsum(
-                islice(reversed(theory_overlay(config, report)), config.m + 1 - x_star, None)),
-            violations=violations,
-            coverage_histogram=tuple(hist.tolist()),
-        )
-    return SimReport(
-        n=config.n,
-        m=config.m,
-        alpha_target=config.alpha_target,
-        delta=config.delta,
-        score_model=config.score_model,
-        runs_completed=config.runs,
-        seed_echo=config.seed,
-        methods=tuple(reports),
-    )
+        reports[name] = MethodReport(name, False, alpha_used, rung, violations / runs, rate,
+                                     violations, tuple(hist.tolist()))
+    return SimReport(n, m, config.alpha_target, config.delta, config.score_model, runs,
+                     config.seed, tuple(reports[name] for name in config.methods))

@@ -652,6 +652,31 @@ class TestSimulateCommand:
         assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
         assert proc.stderr.startswith("error: ") and "MAX_SIM_DRAWS" in proc.stderr
 
+    def test_a_failing_helper_is_an_error(self, capsys, monkeypatch):
+        # 3,000 runs of 50 draws are 3 blocks: on two usable CPUs the caller
+        # starts one helper, whose kernel fails
+        import threading
+
+        import ssbc.mc
+
+        count_runs = ssbc.mc._count_runs
+
+        def failing_off_the_main_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("helper failed")
+            return count_runs(*args)
+
+        monkeypatch.setattr(ssbc.mc, "_count_runs", failing_off_the_main_thread)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        before = threading.active_count()
+        code, out, err = run_cli(capsys, "simulate", "--n", "20", "--m", "30", "--alpha", "0.1",
+                                 "--delta", "0.1", "--runs", "3000", "--seed", "1",
+                                 "--workers", "2")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and "helper failed" in err
+        assert threading.active_count() == before
+
     def test_unallocatable_draws_are_an_error(self, capsys, monkeypatch):
         # One draw past MAX_RUN_DRAWS, and 7.11 PiB of draws, are refused
         # at every run count before the simulation allocates anything.
@@ -1087,15 +1112,27 @@ class TestImports:
         """)
 
     def test_pooled_simulate_loads_no_random_or_process_modules(self):
+        # 3,000 runs of 50 draws are 3 blocks, so with two usable CPUs the
+        # caller starts one helper: a plain thread, with no executor
         self.check(f"""
-            import contextlib, io, sys
+            import contextlib, io, os, sys, threading
             import ssbc.cli
+            started = []
+
+            class Helper(threading.Thread):
+                def start(self):
+                    started.append(self)
+                    super().start()
+
+            threading.Thread = Helper
+            os.sched_getaffinity = lambda pid: {{0, 1}}
             argv = ["simulate", "--n", "20", "--m", "30", "--alpha", "0.1", "--delta", "0.1",
-                    "--runs", "50", "--seed", "1", "--workers", "2",
+                    "--runs", "3000", "--seed", "1", "--workers", "2",
                     "--score-model", "abs_normal"]
             with contextlib.redirect_stdout(io.StringIO()):
                 assert ssbc.cli.main(argv) == 0
-            assert "concurrent.futures.thread" in sys.modules
+            assert len(started) == 1
+            assert "concurrent.futures" not in sys.modules
             loaded = set({self.NOT_FOR_SIMULATE!r}) & set(sys.modules)
             assert not loaded, loaded
         """)

@@ -1,10 +1,11 @@
-import concurrent.futures
 import hashlib
 import json
 import math
 import os
 import random
 import statistics
+import sys
+import threading
 from decimal import Context
 
 import numpy as np
@@ -105,6 +106,19 @@ class TestTheoryOverlay:
         pmf = theory_overlay(config, none)
         assert len(pmf) == 2
         assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)
+
+    def test_skipped_method_has_no_overlay(self):
+        # n = 5 is too small for either adjuster at alpha = delta = 0.05: a
+        # skipped report has no rung, and must not read as the method "none"
+        config = SimConfig(n=5, m=10, alpha_target=0.05, delta=0.05, runs=10, seed=1,
+                           methods=("none", "ssbc", "dkwm"))
+        none, *skipped = run_simulation(config).methods
+        assert len(theory_overlay(config, none)) == 11
+        assert [method.skipped for method in skipped] == [True, True]
+        for method in skipped:
+            with pytest.raises(ValueError) as refusal:
+                theory_overlay(config, method)
+            assert method.method in str(refusal.value) and method.note in str(refusal.value)
 
 
 class TestRunSimulation:
@@ -247,64 +261,125 @@ class TestRunSimulation:
                 run_simulation(config, workers=workers)
 
     def test_pool_is_bounded_by_cpu_count_and_chunks(self, monkeypatch):
-        # the executor is replaced by one that records its size and runs each
-        # range inline, so no thread is ever started
-        requested, submitted = [], []
+        # Blocks of 2**6 draws: 3 runs of w = 20 each, so 60 runs are 20
+        # blocks.  Every thread the simulation starts is recorded, and so is
+        # every block each thread claims from the shared iterator.
+        import types
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
+        import ssbc.mc
 
-            def __enter__(self):
-                return self
+        monkeypatch.setattr(ssbc.mc, "BLOCK_DRAWS", 2**6)
+        monkeypatch.setattr(ssbc.mc, "_STEPS", ssbc.mc._STEPS[: 2**6])
+        started, claimed = [], []
 
-            def __exit__(self, *exc_info):
-                return False
+        class Helper(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
-            def map(self, fn, starts, stops):
-                ranges = list(zip(starts, stops))
-                submitted.extend(ranges)
-                return [fn(lo, hi) for lo, hi in ranges]
+        def recording(config, ks, start, stop, blocks):
+            def claims():
+                for lo in blocks:
+                    claimed.append((threading.get_ident(), lo))
+                    yield lo
+            return _count_runs(config, ks, start, stop, claims())
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
-        config = SimConfig(n=10, m=10, alpha_target=0.3, delta=0.3, runs=60, seed=8)
+        monkeypatch.setattr(ssbc.mc, "threading", types.SimpleNamespace(Thread=Helper))
+        monkeypatch.setattr(ssbc.mc, "_count_runs", recording)
+        config = SimConfig(n=10, m=10, alpha_target=0.3, delta=0.3, runs=60, seed=8,
+                           methods=("none", "ssbc", "dkwm"))
         baseline = run_simulation(config, workers=1)
-        # one range per thread: min(workers, usable CPUs, runs) of each
+        # min(workers, usable CPUs, blocks) threads, the caller among them
         cases = [
-            # (usable CPUs, workers, pool size, ranges counted)
-            (2, 3, 2, [(0, 30), (30, 60)]),
-            (2, 10_000, 2, [(0, 30), (30, 60)]),
-            (16, 4, 4, [(0, 15), (15, 30), (30, 45), (45, 60)]),
-            (16, 7, 7, [(0, 8), (8, 17), (17, 25), (25, 34), (34, 42), (42, 51), (51, 60)]),
-            (64, 10_000, 60, [(r, r + 1) for r in range(60)]),
-            # no CPU count: one thread, counted without a pool
-            (None, 2, None, []),
+            # (usable CPUs, workers, threads)
+            (2, 3, 2),
+            (2, 10_000, 2),
+            (16, 4, 4),
+            (16, 7, 7),
+            (64, 10_000, 20),
+            # no CPU count: one thread
+            (None, 2, 1),
         ]
 
-        def check(workers, pool_size, ranges):
-            requested.clear()
-            submitted.clear()
+        def check(workers, threads, config=config, baseline=baseline):
+            started.clear()
+            claimed.clear()
             assert run_simulation(config, workers=workers) == baseline
-            assert requested == ([] if pool_size is None else [pool_size])
-            assert submitted == ranges
+            assert len(started) == threads - 1
+            assert not any(helper.is_alive() for helper in started)
+            # each block once, each by the caller or a helper it started
+            blocks = range(0, config.runs, min(max(1, 2**6 // 20), config.runs))
+            assert sorted(lo for _, lo in claimed) == list(blocks)
+            counters = {threading.get_ident()} | {helper.ident for helper in started}
+            assert {ident for ident, _ in claimed} <= counters
 
-        # the CPUs the process may run on bound the pool, not the host's
-        # count; where os has no sched_getaffinity, os.cpu_count() does
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        for cpus, *case in cases:
-            if cpus is not None:
-                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                    raising=False)
+        # the CPUs the process may run on bound the threads, not the host's
+        # count; where os has no sched_getaffinity, os.cpu_count() does.
+        # Threads switch every microsecond, so that a block claimed twice or
+        # lost would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+            for cpus, *case in cases:
+                if cpus is not None:
+                    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                        raising=False)
+                    check(*case)
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            for cpus, *case in cases:
+                monkeypatch.setattr(os, "cpu_count", lambda: cpus)
                 check(*case)
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        for cpus, *case in cases:
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            check(*case)
+        finally:
+            sys.setswitchinterval(interval)
+        # one block is counted on the calling thread alone
         few_runs = SimConfig(n=10, m=10, alpha_target=0.3, delta=0.3, runs=3, seed=8)
         monkeypatch.setattr(os, "cpu_count", lambda: 16)
-        requested.clear()
-        run_simulation(few_runs, workers=8)
-        assert requested == [3]
+        check(8, 1, few_runs, run_simulation(few_runs, workers=1))
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_a_failing_thread_fails_the_call_and_none_outlives_it(self, failing, monkeypatch):
+        # n + m = 50: 1,310 runs a block, so 3,000 runs are 3 blocks
+        import ssbc.mc
+
+        def count_runs(*args):
+            if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
+                raise MemoryError(f"{failing} failed")
+            return _count_runs(*args)
+
+        monkeypatch.setattr(ssbc.mc, "_count_runs", count_runs)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        before = threading.active_count()
+        config = SimConfig(n=20, m=30, alpha_target=0.1, delta=0.1, runs=3000, seed=1)
+        with pytest.raises(MemoryError, match=f"{failing} failed"):
+            run_simulation(config, workers=2)
+        assert threading.active_count() == before
+
+    def test_runs_are_independent_across_seeds(self):
+        # Each method's violation count x over a report's 500 runs is
+        # Binomial(500, p) at its theory rate p, independently over seeds, so
+        # the sum of (x - 500p)**2 / (500p(1-p)) over 300 seeds is nearly
+        # chi-square with 300 degrees of freedom.  Its two-sided 1e-6 quantiles
+        # (Wilson-Hilferty) are about 195 and 436: a stream whose runs or
+        # seeds overlap, or a count off by a block, lands outside them, and a
+        # true binomial count falls outside once in a million.
+        runs, seeds = 500, 300
+        rng = random.Random(7)
+        sums = {}
+        for _ in range(seeds):
+            config = SimConfig(n=200, m=100, alpha_target=0.2, delta=0.05, runs=runs,
+                               seed=rng.getrandbits(64), score_model="uniform",
+                               methods=("none", "ssbc", "dkwm"))
+            for method in run_simulation(config).methods:
+                p = method.theory_violation_rate
+                z2 = (method.violations - runs * p) ** 2 / (runs * p * (1 - p))
+                sums[method.method] = sums.get(method.method, 0.0) + z2
+        z = statistics.NormalDist().inv_cdf(1 - 0.5e-6)
+        low, high = (seeds * (1 - 2 / (9 * seeds) + s * z * math.sqrt(2 / (9 * seeds))) ** 3
+                     for s in (-1, 1))
+        for name, total in sums.items():
+            assert low < total < high, (name, total, low, high)
 
 
 class TestGenerator:
